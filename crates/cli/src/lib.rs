@@ -1,10 +1,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-//! Typed command-line flag parsing for the LLM-Pilot binaries.
+//! Typed command-line flag parsing for the `llm-pilot` binary.
 //!
-//! Both `llm-pilot` and `llmpilot-serve` used to hand-roll
-//! `HashMap<String, String>` flag maps with per-call-site `parse().expect`
-//! plumbing. This crate replaces that with *declared* flags:
+//! Flags are *declared* with their types, defaults and validation instead
+//! of being read from a hand-rolled `HashMap<String, String>`:
 //!
 //! ```
 //! use llmpilot_cli::Command;

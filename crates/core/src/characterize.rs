@@ -4,8 +4,10 @@
 //! inference service, (2) tunes the maximum batch weight to maximize GPU
 //! utilization, and (3) runs a series of load-testing experiments with
 //! exponentially increasing numbers of concurrent users, collecting TTFT,
-//! normalized TTFT, inter-token latency and throughput. The grid sweep is
-//! embarrassingly parallel and runs cells across threads.
+//! normalized TTFT, inter-token latency and throughput. Cells are
+//! independent, so the grid sweep fans them out with rayon's `par_iter`;
+//! the vendored `third_party/rayon` runs that fan-out sequentially on the
+//! calling thread, in grid order.
 
 use std::sync::Arc;
 
@@ -19,11 +21,11 @@ use llmpilot_sim::error::SimError;
 use llmpilot_sim::fault::FaultPlan;
 use llmpilot_sim::gpu::GpuProfile;
 use llmpilot_sim::llm::LlmSpec;
-use llmpilot_sim::load::{default_user_sweep, run_load_test_observed, LoadTestConfig, SampleHists};
+use llmpilot_sim::load::{default_user_sweep, run_load_test_with, LoadTestConfig, SampleHists};
 use llmpilot_sim::memory::{MemoryConfig, MemoryModel};
 use llmpilot_sim::perf_model::{PerfModel, PerfModelConfig};
 use llmpilot_sim::request::{RequestSource, RequestSpec};
-use llmpilot_sim::tuner::tune_max_batch_weight_faulty_traced;
+use llmpilot_sim::tuner::tune_max_batch_weight_with;
 use llmpilot_workload::{IndependentSampler, WorkloadSampler};
 
 use crate::dataset::{CharacterizationDataset, PerfRow};
@@ -163,24 +165,6 @@ impl CellOutcome {
     }
 }
 
-/// Per-attempt resource budgets for one cell; exhausting either turns the
-/// cell into [`CellOutcome::Failed`] with [`SimError::BudgetExhausted`]
-/// instead of letting the sweep hang.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CellBudget {
-    /// Maximum engine steps across all load tests of the cell.
-    pub max_steps: Option<u64>,
-    /// Maximum virtual seconds per load test of the cell.
-    pub max_virtual_s: Option<f64>,
-}
-
-impl CellBudget {
-    /// No limits.
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-}
-
 /// Optional per-cell tail-latency observation: sample histograms for the
 /// load tester plus shared per-phase duration histograms for the engines.
 /// One instance aggregates across every load test of the cell.
@@ -193,6 +177,31 @@ pub struct CellHists {
     pub phases: Arc<PhaseHists>,
 }
 
+/// How one attempt at a cell runs: the faults it faces, its attempt number,
+/// its step budget, and what observes it. [`CellRun::default`] is a
+/// fault-free first attempt with no budget and no observation — exactly
+/// [`characterize_cell`].
+#[derive(Debug, Default)]
+pub struct CellRun {
+    /// Faults to inject ([`FaultPlan::none`] by default).
+    pub plan: FaultPlan,
+    /// Zero-based attempt number; it selects the fault sites, never the
+    /// measurement seed.
+    pub attempt: u32,
+    /// Maximum engine steps across all load tests of the cell; exhausting
+    /// it turns the cell into [`CellOutcome::Failed`] with
+    /// [`SimError::BudgetExhausted`] instead of letting the sweep hang.
+    pub max_steps: Option<u64>,
+    /// Observability sink: every load test runs under a `cell.load_test`
+    /// span (with the user count as an argument) and the engine inherits
+    /// it, so engine-phase spans nest beneath the load test that produced
+    /// them. Disabled by default.
+    pub recorder: Recorder,
+    /// Tail-latency sinks: when set, every load test additionally records
+    /// per-sample nTTFT/ITL and per-phase prefill/decode durations here.
+    pub hists: Option<CellHists>,
+}
+
 /// Characterize one `(LLM, GPU profile)` cell: tune the batch weight, then
 /// load-test every user count.
 pub fn characterize_cell(
@@ -201,18 +210,11 @@ pub fn characterize_cell(
     sampler: &WorkloadSampler,
     config: &CharacterizeConfig,
 ) -> CellOutcome {
-    characterize_cell_faulty(
-        llm,
-        profile,
-        sampler,
-        config,
-        &FaultPlan::none(),
-        0,
-        &CellBudget::unlimited(),
-    )
+    characterize_cell_with(llm, profile, sampler, config, &CellRun::default())
 }
 
-/// Fault-aware characterization of one cell, attempt number `attempt`.
+/// [`characterize_cell`] under the faults, attempt number, budget and
+/// observation of `run`.
 ///
 /// Fault sites are derived from the cell identity *and* the attempt number
 /// (`{llm}/{profile}#a{attempt}` for deploy/tuning,
@@ -220,65 +222,16 @@ pub fn characterize_cell(
 /// draws fresh fault decisions — while the measurement seed
 /// ([`cell_seed`], attempt-independent) stays fixed. A retried attempt that
 /// dodges its faults therefore produces rows bit-identical to a fault-free
-/// run. With [`FaultPlan::none`] and an unlimited budget this is exactly
-/// [`characterize_cell`].
-pub fn characterize_cell_faulty(
+/// run. Tracing and histograms never perturb the measurement either: with
+/// no faults and no budget the rows equal [`characterize_cell`]'s.
+pub fn characterize_cell_with(
     llm: &LlmSpec,
     profile: &GpuProfile,
     sampler: &WorkloadSampler,
     config: &CharacterizeConfig,
-    plan: &FaultPlan,
-    attempt: u32,
-    budget: &CellBudget,
+    run: &CellRun,
 ) -> CellOutcome {
-    characterize_cell_faulty_traced(
-        llm,
-        profile,
-        sampler,
-        config,
-        plan,
-        attempt,
-        budget,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`characterize_cell_faulty`] with observability: every load test runs
-/// under a `cell.load_test` span (with the user count as an argument) and
-/// the engine inherits `recorder`, so engine-phase spans nest beneath the
-/// load test that produced them. Tracing never perturbs the measurement —
-/// the rows are bit-identical to an untraced run.
-#[allow(clippy::too_many_arguments)]
-pub fn characterize_cell_faulty_traced(
-    llm: &LlmSpec,
-    profile: &GpuProfile,
-    sampler: &WorkloadSampler,
-    config: &CharacterizeConfig,
-    plan: &FaultPlan,
-    attempt: u32,
-    budget: &CellBudget,
-    recorder: &Recorder,
-) -> CellOutcome {
-    characterize_cell_observed(llm, profile, sampler, config, plan, attempt, budget, recorder, None)
-}
-
-/// [`characterize_cell_faulty_traced`] with optional tail-latency
-/// observation: when `hists` is given, every load test additionally
-/// records per-sample nTTFT/ITL and per-phase prefill/decode durations
-/// into it. Observation never perturbs the measurement — rows stay
-/// bit-identical to an unobserved run.
-#[allow(clippy::too_many_arguments)]
-pub fn characterize_cell_observed(
-    llm: &LlmSpec,
-    profile: &GpuProfile,
-    sampler: &WorkloadSampler,
-    config: &CharacterizeConfig,
-    plan: &FaultPlan,
-    attempt: u32,
-    budget: &CellBudget,
-    recorder: &Recorder,
-    hists: Option<&CellHists>,
-) -> CellOutcome {
+    let CellRun { plan, attempt, max_steps, recorder, hists } = run;
     let cell = format!("{}/{}", llm.name, profile.name());
     let site = format!("{cell}#a{attempt}");
     let attempts = attempt + 1;
@@ -294,7 +247,7 @@ pub fn characterize_cell_observed(
             attempts,
         };
     }
-    let tuned = match tune_max_batch_weight_faulty_traced(&mem, plan, &site, recorder) {
+    let tuned = match tune_max_batch_weight_with(&mem, plan, &site, recorder) {
         Ok(t) => t,
         // No valid weight exists: a deterministic property of the
         // combination, i.e. infeasible — never retried.
@@ -303,7 +256,7 @@ pub fn characterize_cell_observed(
         Err(error) => return CellOutcome::Failed { error, attempts },
     };
 
-    let mut steps_left = budget.max_steps;
+    let mut steps_left = *max_steps;
     let mut rows = Vec::with_capacity(config.user_sweep.len());
     for &users in &config.user_sweep {
         let _load_span = recorder.span("cell.load_test").arg("users", users);
@@ -321,8 +274,7 @@ pub fn characterize_cell_observed(
         );
         let mut faults = plan.load_faults(&load_site, config.duration_s);
         faults.max_steps = steps_left;
-        faults.max_virtual_s = budget.max_virtual_s;
-        let result = run_load_test_observed(
+        let result = run_load_test_with(
             &mut engine,
             &mem,
             &mut source,
@@ -332,7 +284,7 @@ pub fn characterize_cell_observed(
                 concurrent_users: users,
             },
             &mut faults,
-            hists.map(|h| &h.samples),
+            hists.as_ref().map(|h| &h.samples),
         );
         // The step budget is per cell: steps spent on this load test are
         // gone for the remaining ones.
@@ -365,9 +317,10 @@ pub fn characterize_cell_observed(
     CellOutcome::Measured { max_batch_weight: tuned.max_batch_weight, rows }
 }
 
-/// Run the full characterization sweep over an LLM × GPU-profile grid,
-/// parallelized over cells. Infeasible cells are skipped, like the paper's
-/// Table III.
+/// Run the full characterization sweep over an LLM × GPU-profile grid.
+/// Cells fan out through rayon's `par_iter`, which the vendored shim runs
+/// sequentially; results are collected in grid order. Infeasible cells are
+/// skipped, like the paper's Table III.
 pub fn characterize(
     llms: &[LlmSpec],
     profiles: &[GpuProfile],
@@ -483,14 +436,12 @@ mod tests {
         use llmpilot_sim::fault::{FaultConfig, FaultPlan};
         let s = sampler();
         let plan = FaultPlan::new(FaultConfig { crash_prob: 1.0, ..FaultConfig::disabled() });
-        let out = characterize_cell_faulty(
+        let out = characterize_cell_with(
             &llama2_13b(),
             &GpuProfile::new(a100_40(), 1),
             &s,
             &quick_config(),
-            &plan,
-            0,
-            &CellBudget::unlimited(),
+            &CellRun { plan, ..CellRun::default() },
         );
         match out {
             CellOutcome::Failed { error, attempts } => {
@@ -504,14 +455,12 @@ mod tests {
     #[test]
     fn exhausted_step_budget_is_failed() {
         let s = sampler();
-        let out = characterize_cell_faulty(
+        let out = characterize_cell_with(
             &llama2_13b(),
             &GpuProfile::new(a100_40(), 1),
             &s,
             &quick_config(),
-            &FaultPlan::none(),
-            0,
-            &CellBudget { max_steps: Some(10), max_virtual_s: None },
+            &CellRun { max_steps: Some(10), ..CellRun::default() },
         );
         match out {
             CellOutcome::Failed { error, .. } => {
@@ -527,28 +476,32 @@ mod tests {
         let llm = llama2_13b();
         let profile = GpuProfile::new(a100_40(), 1);
         let plain = characterize_cell(&llm, &profile, &s, &quick_config());
-        let faulty = characterize_cell_faulty(
-            &llm,
-            &profile,
-            &s,
-            &quick_config(),
-            &FaultPlan::none(),
-            0,
-            &CellBudget::unlimited(),
-        );
+        let faulty =
+            characterize_cell_with(&llm, &profile, &s, &quick_config(), &CellRun::default());
         assert_eq!(plain, faulty);
         // And a later attempt number changes nothing without faults — the
         // measurement seed is attempt-independent.
-        let retry = characterize_cell_faulty(
+        let retry = characterize_cell_with(
             &llm,
             &profile,
             &s,
             &quick_config(),
-            &FaultPlan::none(),
-            3,
-            &CellBudget::unlimited(),
+            &CellRun { attempt: 3, ..CellRun::default() },
         );
         assert_eq!(plain, retry);
+        // Tracing and tail histograms observe without perturbing the rows.
+        let observed = characterize_cell_with(
+            &llm,
+            &profile,
+            &s,
+            &quick_config(),
+            &CellRun {
+                recorder: Recorder::enabled(),
+                hists: Some(CellHists::default()),
+                ..CellRun::default()
+            },
+        );
+        assert_eq!(plain, observed);
     }
 
     #[test]

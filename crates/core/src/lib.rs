@@ -33,9 +33,8 @@ pub mod weights;
 
 pub use autoscale::{diurnal_demand, simulate_autoscaler, AutoscaleOutcome, AutoscalerConfig};
 pub use characterize::{
-    characterize, characterize_cell, characterize_cell_faulty, characterize_cell_faulty_traced,
-    characterize_cell_observed, CellBudget, CellHists, CellOutcome, CharacterizeConfig,
-    WorkloadRequestSource,
+    characterize, characterize_cell, characterize_cell_with, CellHists, CellOutcome, CellRun,
+    CharacterizeConfig, WorkloadRequestSource,
 };
 pub use dataset::{CharacterizationDataset, PerfRow};
 pub use error::CoreError;
@@ -44,6 +43,5 @@ pub use predictor::{PerformancePredictor, PredictorConfig};
 pub use recommend::{recommend, LatencyConstraints, Recommendation, RecommendationRequest};
 pub use serving::{online_predictor_config, ServingModel};
 pub use sweep::{
-    CellStatus, CellTails, FlightOptions, SweepDriver, SweepDriverBuilder, SweepOptions,
-    SweepReport,
+    CellStatus, CellTails, SweepDriver, SweepDriverBuilder, SweepOptions, SweepReport,
 };

@@ -4,11 +4,11 @@
 //! time) is exactly the kind of job that dies halfway: pods crash, deploys
 //! fail transiently, a cell OOMs at the batch-weight boundary. The
 //! [`SweepDriver`] wraps
-//! [`characterize_cell_faulty`](crate::characterize::characterize_cell_faulty)
+//! [`characterize_cell_with`](crate::characterize::characterize_cell_with)
 //! with per-cell retry
 //! (exponential *virtual* backoff — no wall-clock sleeping in a simulator),
-//! per-cell step/virtual-time budgets, and a CSV journal so an interrupted
-//! sweep resumes where it left off without recomputing finished cells.
+//! per-cell step budgets, and a CSV journal so an interrupted sweep resumes
+//! where it left off without recomputing finished cells.
 //!
 //! Determinism guarantees, pinned by proptests in `tests/`:
 //!
@@ -37,10 +37,15 @@ use llmpilot_sim::llm::LlmSpec;
 use llmpilot_workload::WorkloadSampler;
 
 use crate::characterize::{
-    characterize_cell_observed, CellBudget, CellHists, CellOutcome, CharacterizeConfig,
+    characterize_cell_with, CellHists, CellOutcome, CellRun, CharacterizeConfig,
 };
 use crate::dataset::{CharacterizationDataset, PerfRow};
 use crate::error::CoreError;
+
+/// Base of the exponential retry backoff, virtual seconds: retry `k`
+/// (1-based) waits `BACKOFF_BASE_S * 2^(k-1)`. Purely virtual — accumulated
+/// in the report, never slept.
+const BACKOFF_BASE_S: f64 = 10.0;
 
 /// Options of a fault-tolerant sweep.
 #[derive(Debug, Clone)]
@@ -50,14 +55,8 @@ pub struct SweepOptions {
     /// Maximum attempts per cell (≥ 1); a cell failing this many times is
     /// recorded as failed.
     pub max_attempts: u32,
-    /// Base of the exponential retry backoff, virtual seconds: attempt `k`
-    /// (1-based retry) waits `backoff_base_s * 2^(k-1)`. Purely virtual —
-    /// accumulated in the report, never slept.
-    pub backoff_base_s: f64,
     /// Per-attempt engine-step budget across one cell's load tests.
     pub max_steps_per_cell: Option<u64>,
-    /// Per-load-test virtual-time budget, seconds.
-    pub max_virtual_s_per_cell: Option<f64>,
     /// Journal file: completed cells are appended here and skipped on the
     /// next run. `None` disables journaling.
     pub journal_path: Option<PathBuf>,
@@ -73,26 +72,11 @@ pub struct SweepOptions {
     /// completeness and ETA. Disabled by default; events never change the
     /// measured dataset.
     pub events: EventSink,
-    /// Flight recorder: when set, each cell's spans are captured in a
-    /// bounded ring and dumped to `<dir>/flight-<llm>-<profile>.json` when
-    /// the cell exhausts its retries (or a panic unwinds mid-cell).
-    pub flight: Option<FlightOptions>,
-}
-
-/// Where (and how large) the per-cell flight recorder is.
-#[derive(Debug, Clone)]
-pub struct FlightOptions {
-    /// Directory receiving `flight-<llm>-<profile>.json` dumps.
-    pub dir: PathBuf,
-    /// Ring capacity in spans (most recent are kept).
-    pub capacity: usize,
-}
-
-impl FlightOptions {
-    /// Flight recording into `dir` with the default ring capacity.
-    pub fn new(dir: PathBuf) -> Self {
-        Self { dir, capacity: flight::DEFAULT_CAPACITY }
-    }
+    /// Flight-recorder dump directory: when set, each cell's spans are
+    /// captured in a bounded ring of [`flight::DEFAULT_CAPACITY`] spans and
+    /// dumped to `<dir>/flight-<llm>-<profile>.json` when the cell exhausts
+    /// its retries (or a panic unwinds mid-cell).
+    pub flight_dir: Option<PathBuf>,
 }
 
 impl Default for SweepOptions {
@@ -100,14 +84,12 @@ impl Default for SweepOptions {
         Self {
             plan: FaultPlan::none(),
             max_attempts: 3,
-            backoff_base_s: 10.0,
             max_steps_per_cell: None,
-            max_virtual_s_per_cell: None,
             journal_path: None,
             max_cells_per_run: None,
             recorder: Recorder::disabled(),
             events: EventSink::disabled(),
-            flight: None,
+            flight_dir: None,
         }
     }
 }
@@ -536,30 +518,16 @@ impl<'a> SweepDriverBuilder<'a> {
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] when any option is out of range:
-    /// `max_attempts` of 0, a negative or non-finite `backoff_base_s`, a
-    /// zero step budget, a non-positive or non-finite virtual-time budget,
-    /// or a non-positive load-test duration.
+    /// `max_attempts` of 0, a zero step budget, or a non-positive load-test
+    /// duration.
     pub fn build(self) -> Result<SweepDriver<'a>, CoreError> {
         let invalid = |msg: String| Err(CoreError::InvalidConfig(msg));
         let o = &self.options;
         if o.max_attempts < 1 {
             return invalid("max_attempts must be at least 1".into());
         }
-        if !o.backoff_base_s.is_finite() || o.backoff_base_s < 0.0 {
-            return invalid(format!(
-                "backoff_base_s must be finite and non-negative, got {}",
-                o.backoff_base_s
-            ));
-        }
         if o.max_steps_per_cell == Some(0) {
             return invalid("max_steps_per_cell must be at least 1 when set".into());
-        }
-        if let Some(v) = o.max_virtual_s_per_cell {
-            if !v.is_finite() || v <= 0.0 {
-                return invalid(format!(
-                    "max_virtual_s_per_cell must be finite and positive when set, got {v}"
-                ));
-            }
         }
         if !self.config.duration_s.is_finite() || self.config.duration_s <= 0.0 {
             return invalid(format!(
@@ -590,31 +558,6 @@ impl<'a> SweepDriver<'a> {
         }
     }
 
-    /// Build a driver over the `llms × profiles` grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the options fail validation. Prefer
-    /// [`SweepDriver::builder`], which returns a typed error instead.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `SweepDriver::builder(..).config(..).options(..).build()?` \
-                for validated, non-panicking construction"
-    )]
-    pub fn new(
-        llms: &'a [LlmSpec],
-        profiles: &'a [GpuProfile],
-        sampler: &'a WorkloadSampler,
-        config: CharacterizeConfig,
-        options: SweepOptions,
-    ) -> Self {
-        Self::builder(llms, profiles, sampler)
-            .config(config)
-            .options(options)
-            .build()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Run one cell to completion: retry with exponential virtual backoff
     /// until measured, infeasible, or out of attempts. Returns the status,
     /// the backoff accrued, and the cell's tail quantiles.
@@ -636,22 +579,24 @@ impl<'a> SweepDriver<'a> {
         // bounded per-cell ring instead of the sweep recorder, so a dump
         // holds exactly the failing cell's last moments. The armed guard
         // also dumps the ring if a panic unwinds through this cell.
-        let flight = self.options.flight.as_ref().map(|opts| {
+        let flight = self.options.flight_dir.as_ref().map(|dir| {
             flight::install_panic_hook();
             (
-                FlightRecorder::new(opts.capacity),
-                opts.dir.join(flight::dump_file_name(llm.name, &name)),
+                FlightRecorder::new(flight::DEFAULT_CAPACITY),
+                dir.join(flight::dump_file_name(llm.name, &name)),
             )
         });
         let _armed = flight.as_ref().map(|(fl, path)| flight::arm(fl, path.clone()));
-        let cell_rec: Recorder =
-            flight.as_ref().map_or_else(|| recorder.clone(), |(fl, _)| fl.recorder().clone());
-
-        let budget = CellBudget {
+        let mut run = CellRun {
+            plan: self.options.plan.clone(),
+            attempt: 0,
             max_steps: self.options.max_steps_per_cell,
-            max_virtual_s: self.options.max_virtual_s_per_cell,
+            recorder: flight
+                .as_ref()
+                .map_or_else(|| recorder.clone(), |(fl, _)| fl.recorder().clone()),
+            hists: Some(CellHists::default()),
         };
-        let hists = CellHists::default();
+
         let mut backoff = 0.0;
         let mut attempt = 0;
         let status = loop {
@@ -661,19 +606,10 @@ impl<'a> SweepDriver<'a> {
                 u64::from(attempt + 1),
                 u64::from(self.options.max_attempts),
             );
+            run.attempt = attempt;
             let outcome = {
-                let _attempt_span = cell_rec.span("sweep.attempt").arg("attempt", attempt + 1);
-                characterize_cell_observed(
-                    llm,
-                    profile,
-                    self.sampler,
-                    &self.config,
-                    &self.options.plan,
-                    attempt,
-                    &budget,
-                    &cell_rec,
-                    Some(&hists),
-                )
+                let _attempt_span = run.recorder.span("sweep.attempt").arg("attempt", attempt + 1);
+                characterize_cell_with(llm, profile, self.sampler, &self.config, &run)
             };
             attempt += 1;
             match outcome {
@@ -696,8 +632,7 @@ impl<'a> SweepDriver<'a> {
                         }
                         break CellStatus::Failed { error: error.to_string(), attempts: attempt };
                     }
-                    let step =
-                        self.options.backoff_base_s * (2.0f64).powi((attempt - 1).min(60) as i32);
+                    let step = BACKOFF_BASE_S * (2.0f64).powi((attempt - 1).min(60) as i32);
                     backoff += step;
                     events.cell_retried(
                         llm.name,
@@ -707,15 +642,16 @@ impl<'a> SweepDriver<'a> {
                         step,
                         &error.to_string(),
                     );
-                    cell_rec.counter_add("sweep.retries", 1);
+                    run.recorder.counter_add("sweep.retries", 1);
                     // Virtual backoff is never slept, so the span marks the
                     // decision point (zero wall-clock width) and carries the
                     // virtual wait as an argument.
-                    drop(cell_rec.span("sweep.backoff").arg("backoff_virtual_s", step));
+                    drop(run.recorder.span("sweep.backoff").arg("backoff_virtual_s", step));
                 }
             }
         };
 
+        let hists = run.hists.unwrap_or_default();
         let tails = CellTails {
             nttft: hists.samples.nttft.summary(),
             itl: hists.samples.itl.summary(),
@@ -1150,20 +1086,8 @@ mod tests {
             "max_attempts",
         );
         expect_invalid(
-            build(SweepOptions { backoff_base_s: -1.0, ..SweepOptions::default() }),
-            "backoff_base_s",
-        );
-        expect_invalid(
-            build(SweepOptions { backoff_base_s: f64::NAN, ..SweepOptions::default() }),
-            "backoff_base_s",
-        );
-        expect_invalid(
             build(SweepOptions { max_steps_per_cell: Some(0), ..SweepOptions::default() }),
             "max_steps_per_cell",
-        );
-        expect_invalid(
-            build(SweepOptions { max_virtual_s_per_cell: Some(0.0), ..SweepOptions::default() }),
-            "max_virtual_s_per_cell",
         );
         let bad_duration = SweepDriver::builder(&llms, &profiles, &s)
             .config(CharacterizeConfig { duration_s: 0.0, ..CharacterizeConfig::default() })
@@ -1172,29 +1096,6 @@ mod tests {
         expect_invalid(bad_duration, "duration_s");
         // And valid defaults build fine.
         assert!(build(SweepOptions::default()).is_ok());
-    }
-
-    /// The deprecated positional constructor must keep forwarding to the
-    /// builder (and keep panicking on bad options) until it is removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_new_forwards_to_the_builder() {
-        let s = sampler();
-        let (llms, profiles) = grid();
-        let d = SweepDriver::new(&llms, &profiles, &s, quick_config(), SweepOptions::default());
-        let (ds, report) = d.run().unwrap();
-        assert!(report.is_complete());
-        assert!(!ds.is_empty());
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            SweepDriver::new(
-                &llms,
-                &profiles,
-                &s,
-                quick_config(),
-                SweepOptions { max_attempts: 0, ..SweepOptions::default() },
-            )
-        }));
-        assert!(panicked.is_err(), "new() must panic on invalid options");
     }
 
     #[test]
@@ -1265,7 +1166,7 @@ mod tests {
                 ..FaultConfig::disabled()
             }),
             max_attempts: 2,
-            flight: Some(FlightOptions::new(dir.clone())),
+            flight_dir: Some(dir.clone()),
             ..SweepOptions::default()
         };
         let (_, report) = driver(&llms, &profiles, &s, quick_config(), options).run().unwrap();
@@ -1296,10 +1197,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let plain =
             driver(&llms, &profiles, &s, quick_config(), SweepOptions::default()).run().unwrap();
-        let options = SweepOptions {
-            flight: Some(FlightOptions::new(dir.clone())),
-            ..SweepOptions::default()
-        };
+        let options = SweepOptions { flight_dir: Some(dir.clone()), ..SweepOptions::default() };
         let flighted = driver(&llms, &profiles, &s, quick_config(), options).run().unwrap();
         assert_eq!(plain, flighted, "flight recording must not perturb the sweep");
         // All cells succeeded (or were infeasible): no dumps at all.

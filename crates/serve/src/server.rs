@@ -194,7 +194,7 @@ impl ServerHandle {
     }
 }
 
-/// The llmpilot-serve daemon.
+/// The recommendation daemon behind `llm-pilot serve`.
 pub struct Server;
 
 impl Server {
@@ -518,7 +518,9 @@ fn handle_recommend(ctx: &Ctx, request: &Request) -> Response {
         return Response::json(503, "{\"error\":\"model not trained yet\"}".into())
             .with_header("Retry-After", "1");
     };
-    let dataset_generation = ctx.store.generation();
+    // Report the generation the model was trained on, not the store's: a
+    // reload bumps the store before its retrain swaps the model in.
+    let dataset_generation = trained.dataset_generation;
 
     let key: CacheKey = (
         model_name.to_string(),
@@ -621,5 +623,79 @@ fn handle_reload(ctx: &Ctx) -> Response {
             400,
             error_body(&format!("reload rejected, previous dataset still serving: {e}")),
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use llmpilot_core::{CharacterizationDataset, PerfRow};
+    use llmpilot_ml::GbdtParams;
+
+    fn dataset(itl_scale: f64) -> CharacterizationDataset {
+        let mut rows = Vec::new();
+        for llm in ["Llama-2-7b", "Llama-2-13b"] {
+            for profile in ["1xA100-40GB", "1xA100-80GB"] {
+                for users in [1u32, 2, 4, 8, 16, 32, 64, 128] {
+                    rows.push(PerfRow {
+                        llm: llm.into(),
+                        profile: profile.into(),
+                        users,
+                        ttft_s: 0.05 * f64::from(users),
+                        nttft_s: 0.0001 * f64::from(users),
+                        itl_s: itl_scale * f64::from(users),
+                        throughput: 100.0 * f64::from(users),
+                    });
+                }
+            }
+        }
+        CharacterizationDataset { rows, ..Default::default() }
+    }
+
+    fn u64_field(json: &str, key: &str) -> Option<u64> {
+        let needle = format!("\"{key}\":");
+        let start = json.find(&needle)? + needle.len();
+        let digits: String = json[start..].chars().take_while(char::is_ascii_digit).collect();
+        digits.parse().ok()
+    }
+
+    /// A reload swaps the store to generation 2 before its retrain swaps
+    /// the model in. A query in that window is answered by the generation-1
+    /// model and must say so, not pair it with the store's generation.
+    #[test]
+    fn recommend_reports_the_dataset_generation_of_the_model_that_answered() {
+        let path = std::env::temp_dir()
+            .join(format!("llmpilot-server-generation-{}.csv", std::process::id()));
+        std::fs::write(&path, dataset(0.002).to_csv()).unwrap();
+        let mut config = ServeConfig::new(&path);
+        config.addr = "127.0.0.1:0".into();
+        config.workers = 1;
+        config.watch_interval = None;
+        config.predictor = PredictorConfig {
+            gbdt: GbdtParams { n_trees: 20, max_depth: 3, ..GbdtParams::default() },
+            ..PredictorConfig::default()
+        };
+        let handle = Server::start(config).unwrap();
+
+        // Bump the store's generation without retraining.
+        std::fs::write(&path, dataset(0.003).to_csv()).unwrap();
+        assert!(handle.ctx.store.reload().unwrap().changed);
+        assert_eq!(handle.ctx.store.generation(), 2);
+        let model = handle.ctx.registry.current().unwrap();
+        assert_eq!(model.dataset_generation, 1);
+
+        let resp = crate::http_request(handle.addr(), "GET", "/recommend?model=Llama-2-7b&users=8")
+            .unwrap();
+        let body = resp.text();
+        assert_eq!(resp.status, 200, "body: {body}");
+        assert_eq!(u64_field(&body, "model_generation"), Some(model.model_generation));
+        assert_eq!(
+            u64_field(&body, "dataset_generation"),
+            Some(model.dataset_generation),
+            "body: {body}"
+        );
+
+        handle.shutdown();
+        let _ = std::fs::remove_file(&path);
     }
 }

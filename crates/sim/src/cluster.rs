@@ -13,7 +13,7 @@ use crate::error::SimError;
 use crate::fault::FaultPlan;
 use crate::gpu::GpuProfile;
 use crate::llm::LlmSpec;
-use crate::load::{run_load_test_faulty, LoadMetrics, LoadTestConfig};
+use crate::load::{run_load_test_with, LoadMetrics, LoadTestConfig};
 use crate::memory::{MemoryConfig, MemoryModel};
 use crate::perf_model::{PerfModel, PerfModelConfig};
 use crate::request::RequestSource;
@@ -145,7 +145,7 @@ impl Deployment {
         S: RequestSource + Send,
         F: Fn(usize) -> S + Sync,
     {
-        self.run_load_test_faulty(total_users, duration_s, make_source, &FaultPlan::none(), "")
+        self.run_load_test_with(total_users, duration_s, make_source, &FaultPlan::none(), "")
     }
 
     /// Fault-aware variant of [`Self::run_load_test`]: under a [`FaultPlan`],
@@ -154,7 +154,7 @@ impl Deployment {
     /// onto the survivors, surviving pods may crash or OOM mid-test, and
     /// step times pick up latency noise. With [`FaultPlan::none`] this is
     /// bit-identical to the plain load test.
-    pub fn run_load_test_faulty<S, F>(
+    pub fn run_load_test_with<S, F>(
         &self,
         total_users: u32,
         duration_s: f64,
@@ -190,7 +190,8 @@ impl Deployment {
                 let mut source = make_source(i);
                 let config = LoadTestConfig { duration_s, warmup_s: 0.0, concurrent_users: users };
                 let mut faults = plan.load_faults(&pod_site, duration_s);
-                run_load_test_faulty(&mut engine, &mem, &mut source, &config, &mut faults).map(Some)
+                run_load_test_with(&mut engine, &mem, &mut source, &config, &mut faults, None)
+                    .map(Some)
             })
             .collect();
         let per_pod: Vec<LoadMetrics> = results?.into_iter().flatten().collect();
@@ -280,7 +281,7 @@ mod tests {
         let d = Deployment::new(llama2_13b(), GpuProfile::new(a100_80(), 1), 3).unwrap();
         let plain = d.run_load_test(12, 60.0, source).unwrap();
         let faulty =
-            d.run_load_test_faulty(12, 60.0, source, &FaultPlan::none(), "cluster/x").unwrap();
+            d.run_load_test_with(12, 60.0, source, &FaultPlan::none(), "cluster/x").unwrap();
         assert_eq!(faulty.failed_pods, 0);
         assert_eq!(plain.per_pod.len(), faulty.per_pod.len());
         assert_eq!(plain.total_throughput, faulty.total_throughput);
@@ -297,7 +298,7 @@ mod tests {
             ..crate::fault::FaultConfig::disabled()
         });
         assert_eq!(
-            d.run_load_test_faulty(8, 30.0, source, &plan, "cluster/x"),
+            d.run_load_test_with(8, 30.0, source, &plan, "cluster/x"),
             Err(SimError::AllPodsFailed { pods: 2 })
         );
     }
@@ -320,7 +321,7 @@ mod tests {
                 (1..=3).contains(&down)
             })
             .expect("some seed must down 1..=3 of 4 pods");
-        let m = d.run_load_test_faulty(16, 60.0, source, &plan, "cluster/x").unwrap();
+        let m = d.run_load_test_with(16, 60.0, source, &plan, "cluster/x").unwrap();
         assert!(m.failed_pods >= 1 && m.failed_pods <= 3);
         // All 16 users were re-balanced onto the survivors.
         assert_eq!(m.per_pod.len(), 4 - m.failed_pods as usize);

@@ -225,7 +225,7 @@ impl FaultPlan {
         } else {
             None
         };
-        LoadFaults { crash_at, oom, max_steps: None, max_virtual_s: None, steps_used: 0 }
+        LoadFaults { crash_at, oom, max_steps: None, steps_used: 0 }
     }
 
     /// The latency-noise state for one engine at `site`; [`LatencyNoise`] is
@@ -261,7 +261,7 @@ impl OomFault {
 }
 
 /// Fault state threaded through one load test; see
-/// [`crate::load::run_load_test_faulty`].
+/// [`crate::load::run_load_test_with`].
 #[derive(Debug, Clone)]
 pub struct LoadFaults {
     /// Virtual time at which the engine crashes (pre-drawn), if any.
@@ -272,12 +272,8 @@ pub struct LoadFaults {
     /// [`SimError::BudgetExhausted`] instead of running past this many
     /// engine iterations (a guard against virtual-time stalls).
     pub max_steps: Option<u64>,
-    /// Virtual-time budget: the load test fails with
-    /// [`SimError::BudgetExhausted`] once the engine clock passes this many
-    /// seconds (a guard against runaway windows).
-    pub max_virtual_s: Option<f64>,
     /// Engine iterations consumed by the load test (written back by
-    /// `run_load_test_faulty`; cumulative across calls reusing the value).
+    /// `run_load_test_with`; cumulative across calls reusing the value).
     pub steps_used: u64,
 }
 
@@ -285,13 +281,7 @@ impl LoadFaults {
     /// No crash, no OOM, no step budget — the exact behaviour of a plain
     /// [`crate::load::run_load_test`].
     pub fn none() -> Self {
-        LoadFaults {
-            crash_at: None,
-            oom: None,
-            max_steps: None,
-            max_virtual_s: None,
-            steps_used: 0,
-        }
+        LoadFaults { crash_at: None, oom: None, max_steps: None, steps_used: 0 }
     }
 
     /// Check the fault state after one engine step at virtual time `clock`.
@@ -306,13 +296,6 @@ impl LoadFaults {
             if self.steps_used > max {
                 return Err(SimError::BudgetExhausted {
                     what: format!("load test exceeded step budget of {max}"),
-                });
-            }
-        }
-        if let Some(max) = self.max_virtual_s {
-            if clock > max {
-                return Err(SimError::BudgetExhausted {
-                    what: format!("load test exceeded virtual-time budget of {max}s"),
                 });
             }
         }

@@ -46,11 +46,10 @@ pub mod prelude {
     pub use crate::gpu::{self, GpuProfile, GpuSpec};
     pub use crate::llm::{self, LlmSpec};
     pub use crate::load::{
-        run_load_test, run_load_test_faulty, run_load_test_observed, LoadMetrics, LoadTestConfig,
-        SampleHists,
+        run_load_test, run_load_test_with, LoadMetrics, LoadTestConfig, SampleHists,
     };
     pub use crate::memory::{Feasibility, MemoryConfig, MemoryModel};
     pub use crate::perf_model::{PerfModel, PerfModelConfig};
     pub use crate::request::{FixedSource, RequestSource, RequestSpec};
-    pub use crate::tuner::{tune_max_batch_weight, tune_max_batch_weight_faulty, TuningOutcome};
+    pub use crate::tuner::{tune_max_batch_weight, tune_max_batch_weight_with, TuningOutcome};
 }

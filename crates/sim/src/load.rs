@@ -139,29 +139,19 @@ pub fn run_load_test<S: RequestSource + ?Sized>(
     source: &mut S,
     config: &LoadTestConfig,
 ) -> Result<LoadMetrics, SimError> {
-    run_load_test_faulty(engine, mem, source, config, &mut LoadFaults::none())
+    run_load_test_with(engine, mem, source, config, &mut LoadFaults::none(), None)
 }
 
-/// [`run_load_test`] with fault injection: after every engine iteration the
-/// [`LoadFaults`] state is consulted for a scheduled crash, a near-capacity
-/// OOM, or an exceeded step budget, any of which aborts the experiment with
-/// the corresponding [`SimError`]. With [`LoadFaults::none`] the behaviour
-/// (and the produced metrics) are bit-identical to [`run_load_test`].
-pub fn run_load_test_faulty<S: RequestSource + ?Sized>(
-    engine: &mut Engine,
-    mem: &MemoryModel,
-    source: &mut S,
-    config: &LoadTestConfig,
-    faults: &mut LoadFaults,
-) -> Result<LoadMetrics, SimError> {
-    run_load_test_observed(engine, mem, source, config, faults, None)
-}
-
-/// [`run_load_test_faulty`] with optional per-sample observation: when
-/// `hists` is given, every normalized-TTFT and inter-token-latency sample
-/// (including censored TTFT lower bounds) is also recorded into the
-/// histograms. Observation never changes the returned metrics.
-pub fn run_load_test_observed<S: RequestSource + ?Sized>(
+/// [`run_load_test`] with fault injection and optional per-sample
+/// observation. After every engine iteration the [`LoadFaults`] state is
+/// consulted for a scheduled crash, a near-capacity OOM, or an exceeded
+/// step budget, any of which aborts the experiment with the corresponding
+/// [`SimError`]. When `hists` is given, every normalized-TTFT and
+/// inter-token-latency sample (including censored TTFT lower bounds) is
+/// also recorded into the histograms. With [`LoadFaults::none`] and no
+/// `hists` the behaviour (and the produced metrics) are bit-identical to
+/// [`run_load_test`]; observation never changes the returned metrics.
+pub fn run_load_test_with<S: RequestSource + ?Sized>(
     engine: &mut Engine,
     mem: &MemoryModel,
     source: &mut S,
@@ -471,7 +461,8 @@ mod tests {
         let (mut e2, _) = setup(llama2_13b(), a100_80(), 1);
         let mut s2 = FixedSource::constant(RequestSpec::new(500, 200));
         let mut faults = crate::fault::LoadFaults::none();
-        let faulty = run_load_test_faulty(&mut e2, &mem, &mut s2, &config, &mut faults).unwrap();
+        let faulty =
+            run_load_test_with(&mut e2, &mem, &mut s2, &config, &mut faults, None).unwrap();
         assert_eq!(plain, faulty);
         assert!(faults.steps_used > 0);
     }
@@ -487,8 +478,7 @@ mod tests {
         let hists = SampleHists::default();
         let mut faults = crate::fault::LoadFaults::none();
         let observed =
-            run_load_test_observed(&mut e2, &mem, &mut s2, &config, &mut faults, Some(&hists))
-                .unwrap();
+            run_load_test_with(&mut e2, &mem, &mut s2, &config, &mut faults, Some(&hists)).unwrap();
         assert_eq!(plain, observed, "observation must not change the metrics");
         assert!(hists.nttft.count() > 0);
         assert!(hists.itl.count() > 0);
@@ -505,12 +495,13 @@ mod tests {
         let mut src = FixedSource::constant(RequestSpec::new(500, 200));
         let mut faults = crate::fault::LoadFaults::none();
         faults.crash_at = Some(10.0);
-        let err = run_load_test_faulty(
+        let err = run_load_test_with(
             &mut e,
             &mem,
             &mut src,
             &LoadTestConfig { warmup_s: 0.0, duration_s: 60.0, concurrent_users: 4 },
             &mut faults,
+            None,
         )
         .unwrap_err();
         assert_eq!(err, SimError::EngineCrashed { at_s: 10.0 });
@@ -522,12 +513,13 @@ mod tests {
         let mut src = FixedSource::constant(RequestSpec::new(500, 200));
         let mut faults = crate::fault::LoadFaults::none();
         faults.max_steps = Some(5);
-        let err = run_load_test_faulty(
+        let err = run_load_test_with(
             &mut e,
             &mem,
             &mut src,
             &LoadTestConfig { warmup_s: 0.0, duration_s: 600.0, concurrent_users: 8 },
             &mut faults,
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, SimError::BudgetExhausted { .. }));
@@ -547,12 +539,13 @@ mod tests {
         let (mut e, mem) = setup(llama2_13b(), a100_80(), 1);
         let mut src = FixedSource::constant(RequestSpec::new(500, 200));
         let mut faults = plan.load_faults("load/x", 60.0);
-        let err = run_load_test_faulty(
+        let err = run_load_test_with(
             &mut e,
             &mem,
             &mut src,
             &LoadTestConfig { warmup_s: 0.0, duration_s: 60.0, concurrent_users: 64 },
             &mut faults,
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, SimError::OutOfMemory { .. }));

@@ -92,19 +92,31 @@ pub fn weight_is_valid(mem: &MemoryModel, w: u64, probes_evaluated: &mut u64) ->
 /// the workload generator can produce — if even that is invalid the
 /// deployment is infeasible and tuning fails (an × cell of Table III).
 pub fn tune_max_batch_weight(mem: &MemoryModel) -> Result<TuningOutcome, SimError> {
-    tune_max_batch_weight_traced(mem, &Recorder::disabled())
+    tune_max_batch_weight_with(mem, &FaultPlan::none(), "", &Recorder::disabled())
 }
 
-/// [`tune_max_batch_weight`] with structured tracing: records a
-/// `tuner.tune` span (args: LLM, profile) with `tuner.ramp` and
-/// `tuner.bisect` child phases, plus `tuner.probes` / `tuner.steps`
-/// counters. Tracing never changes the tuning result.
-pub fn tune_max_batch_weight_traced(
+/// [`tune_max_batch_weight`] with fault injection and structured tracing.
+///
+/// Under a [`FaultPlan`], the run at `site` may abort with an OOM at the
+/// weight boundary (the real-world failure the corner-case probes guard
+/// against); an injected OOM records a zero-work `tuner.tune` span flagged
+/// `injected_oom`. Otherwise it records a `tuner.tune` span (args: LLM,
+/// profile) with `tuner.ramp` and `tuner.bisect` child phases, plus
+/// `tuner.probes` / `tuner.steps` counters. With [`FaultPlan::none`] this is
+/// exactly [`tune_max_batch_weight`]; tracing never changes the result.
+pub fn tune_max_batch_weight_with(
     mem: &MemoryModel,
+    plan: &FaultPlan,
+    site: &str,
     recorder: &Recorder,
 ) -> Result<TuningOutcome, SimError> {
-    let _tune_span =
+    let mut tune_span =
         recorder.span("tuner.tune").arg("llm", mem.llm().name).arg("profile", mem.profile().name());
+    if plan.tuning_ooms(site) {
+        tune_span.set_arg("injected_oom", true);
+        let bound = mem.max_batch_weight_bound();
+        return Err(SimError::OutOfMemory { running_weight: bound, max_batch_weight: bound });
+    }
 
     let (cap_in, cap_out) = mem.largest_request();
     let lo_start = u64::from(cap_in) + u64::from(cap_out);
@@ -171,38 +183,6 @@ pub fn tune_max_batch_weight_traced(
     recorder.counter_add("tuner.steps", u64::from(steps));
 
     Ok(TuningOutcome { max_batch_weight: lo, search_steps: steps, probes_evaluated: probes })
-}
-
-/// Fault-aware tuning: under a [`FaultPlan`], the run may abort with an OOM
-/// at the weight boundary (the real-world failure the corner-case probes
-/// guard against). With [`FaultPlan::none`] this is exactly
-/// [`tune_max_batch_weight`].
-pub fn tune_max_batch_weight_faulty(
-    mem: &MemoryModel,
-    plan: &FaultPlan,
-    site: &str,
-) -> Result<TuningOutcome, SimError> {
-    tune_max_batch_weight_faulty_traced(mem, plan, site, &Recorder::disabled())
-}
-
-/// [`tune_max_batch_weight_faulty`] with structured tracing; injected
-/// OOMs record a zero-work `tuner.tune` span flagged `injected_oom`.
-pub fn tune_max_batch_weight_faulty_traced(
-    mem: &MemoryModel,
-    plan: &FaultPlan,
-    site: &str,
-    recorder: &Recorder,
-) -> Result<TuningOutcome, SimError> {
-    if plan.tuning_ooms(site) {
-        let _span = recorder
-            .span("tuner.tune")
-            .arg("llm", mem.llm().name)
-            .arg("profile", mem.profile().name())
-            .arg("injected_oom", true);
-        let bound = mem.max_batch_weight_bound();
-        return Err(SimError::OutOfMemory { running_weight: bound, max_batch_weight: bound });
-    }
-    tune_max_batch_weight_traced(mem, recorder)
 }
 
 #[cfg(test)]
@@ -304,12 +284,13 @@ mod tests {
         let m = mem(llama2_13b(), a100_80(), 1);
         let plan = FaultPlan::new(FaultConfig { tuning_oom_prob: 1.0, ..FaultConfig::disabled() });
         assert!(matches!(
-            tune_max_batch_weight_faulty(&m, &plan, "tune/x"),
+            tune_max_batch_weight_with(&m, &plan, "tune/x", &Recorder::disabled()),
             Err(SimError::OutOfMemory { .. })
         ));
         // The no-fault plan reproduces the plain tuner exactly.
         assert_eq!(
-            tune_max_batch_weight_faulty(&m, &FaultPlan::none(), "tune/x").unwrap(),
+            tune_max_batch_weight_with(&m, &FaultPlan::none(), "tune/x", &Recorder::disabled())
+                .unwrap(),
             tune_max_batch_weight(&m).unwrap()
         );
     }
@@ -318,7 +299,7 @@ mod tests {
     fn traced_tuning_matches_untraced_and_records_phases() {
         let m = mem(llama2_13b(), a100_80(), 1);
         let rec = Recorder::enabled();
-        let traced = tune_max_batch_weight_traced(&m, &rec).unwrap();
+        let traced = tune_max_batch_weight_with(&m, &FaultPlan::none(), "", &rec).unwrap();
         assert_eq!(traced, tune_max_batch_weight(&m).unwrap());
         let trace = rec.snapshot();
         let find = |name: &str| trace.events.iter().find(|e| e.name == name);

@@ -29,8 +29,8 @@ use rand::SeedableRng;
 use llm_pilot::cli::{Command, Flag, Parsed};
 use llm_pilot::core::recommend::{recommend, LatencyConstraints, RecommendationRequest};
 use llm_pilot::core::{
-    CharacterizationDataset, CharacterizeConfig, FlightOptions, PerformancePredictor,
-    PredictorConfig, SweepDriver, SweepOptions,
+    CharacterizationDataset, CharacterizeConfig, PerformancePredictor, PredictorConfig,
+    SweepDriver, SweepOptions,
 };
 use llm_pilot::obs::events::{EventSink, WatchState};
 use llm_pilot::obs::Recorder;
@@ -280,13 +280,10 @@ fn cmd_characterize(args: &[String]) -> Result<(), Error> {
 
     let topts = trace_opts(&p, trace_out, trace_summary);
     let events = events_sink(&p, events_out)?;
-    let flight = match p.get(&flight_dir) {
-        Some(dir) => {
-            std::fs::create_dir_all(&dir)?;
-            Some(FlightOptions::new(dir))
-        }
-        None => None,
-    };
+    let flight_dir = p.get(&flight_dir);
+    if let Some(dir) = &flight_dir {
+        std::fs::create_dir_all(dir)?;
+    }
     let sampler = build_sampler(p.get(&seed));
     let llms = match p.get(&llm) {
         Some(name) => {
@@ -310,7 +307,7 @@ fn cmd_characterize(args: &[String]) -> Result<(), Error> {
         max_steps_per_cell: p.get(&max_steps),
         recorder: topts.recorder.clone(),
         events,
-        flight,
+        flight_dir,
         ..SweepOptions::default()
     };
     let profiles = paper_profiles();

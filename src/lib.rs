@@ -9,9 +9,9 @@
 //! * [`workload`] — the binned joint-histogram workload generator.
 //! * [`ml`] — the from-scratch ML substrate (trees, GBDT, MLP, MF, CV).
 //! * [`core`] — the characterization pipeline and GPU recommendation tool.
-//! * [`serve`] — the online GPU-recommendation daemon (llmpilot-serve).
+//! * [`serve`] — the online GPU-recommendation daemon (`llm-pilot serve`).
 //! * [`obs`] — structured spans, counters, and Chrome-trace export.
-//! * [`cli`] — the typed command-line parser shared by the binaries.
+//! * [`cli`] — the typed command-line parser of the `llm-pilot` binary.
 //!
 //! See `examples/` for runnable end-to-end scenarios and
 //! `crates/bench/src/bin/experiments.rs` for the paper's tables/figures.
