@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 use llmpilot_core::{CharacterizationDataset, PerfRow, PredictorConfig};
 use llmpilot_ml::GbdtParams;
 use llmpilot_serve::{http_request, HttpClient, ServeConfig, Server};
+use llmpilot_sim::load::percentile;
 
 use crate::{fmt, header};
 
@@ -44,17 +45,10 @@ fn dataset() -> CharacterizationDataset {
     CharacterizationDataset { rows, ..Default::default() }
 }
 
-/// Latency percentiles of one phase, microseconds.
-fn percentile(sorted_us: &[u64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return f64::NAN;
-    }
-    let rank = (p * (sorted_us.len() - 1) as f64).round() as usize;
-    sorted_us[rank.min(sorted_us.len() - 1)] as f64
-}
-
 struct PhaseResult {
-    latencies_us: Vec<u64>,
+    answered: usize,
+    p50_us: f64,
+    p99_us: f64,
     wall: Duration,
     errors: u64,
 }
@@ -83,7 +77,7 @@ fn run_phase(addr: std::net::SocketAddr, unique_tag: u32) -> PhaseResult {
                 let t0 = Instant::now();
                 match conn.request("GET", &target) {
                     Ok(resp) if resp.status == 200 => {
-                        latencies.push(t0.elapsed().as_micros() as u64)
+                        latencies.push(t0.elapsed().as_micros() as f64)
                     }
                     Ok(_) | Err(_) => {
                         errors.fetch_add(1, Ordering::Relaxed);
@@ -97,21 +91,25 @@ fn run_phase(addr: std::net::SocketAddr, unique_tag: u32) -> PhaseResult {
     for h in handles {
         latencies_us.extend(h.join().expect("client thread"));
     }
-    latencies_us.sort_unstable();
-    PhaseResult { latencies_us, wall: started.elapsed(), errors: errors.load(Ordering::Relaxed) }
+    PhaseResult {
+        answered: latencies_us.len(),
+        p50_us: percentile(&mut latencies_us, 0.50),
+        p99_us: percentile(&mut latencies_us, 0.99),
+        wall: started.elapsed(),
+        errors: errors.load(Ordering::Relaxed),
+    }
 }
 
 fn print_phase(name: &str, r: &PhaseResult) {
-    let n = r.latencies_us.len() as f64;
-    let throughput = n / r.wall.as_secs_f64();
+    let throughput = r.answered as f64 / r.wall.as_secs_f64();
     println!(
         "{:<8} {:>9} {:>6} {:>11} {:>10} {:>10} {:>10}",
         name,
-        r.latencies_us.len(),
+        r.answered,
         r.errors,
         format!("{} req/s", fmt(throughput)),
-        format!("{} us", fmt(percentile(&r.latencies_us, 0.50))),
-        format!("{} us", fmt(percentile(&r.latencies_us, 0.99))),
+        format!("{} us", fmt(r.p50_us)),
+        format!("{} us", fmt(r.p99_us)),
         format!("{} ms", fmt(r.wall.as_secs_f64() * 1e3)),
     );
 }
@@ -160,13 +158,11 @@ pub fn run() {
     let cached = run_phase(handle.addr(), 0);
     print_phase("cached", &cached);
 
-    let cold_p50 = percentile(&cold.latencies_us, 0.50);
-    let cached_p50 = percentile(&cached.latencies_us, 0.50);
     println!(
         "\ncache-hit speedup: p50 {}x ({} us -> {} us)",
-        fmt(cold_p50 / cached_p50),
-        fmt(cold_p50),
-        fmt(cached_p50)
+        fmt(cold.p50_us / cached.p50_us),
+        fmt(cold.p50_us),
+        fmt(cached.p50_us)
     );
 
     let scrape = http_request(handle.addr(), "GET", "/metrics").expect("scrape metrics").text();

@@ -20,7 +20,6 @@ pub use llmpilot_cli as cli;
 pub use llmpilot_core as core;
 pub use llmpilot_ml as ml;
 pub use llmpilot_obs as obs;
-pub use llmpilot_placement as placement;
 pub use llmpilot_serve as serve;
 pub use llmpilot_sim as sim;
 pub use llmpilot_traces as traces;

@@ -4,13 +4,17 @@
 //! corrupted, that post-reload answers reflect the new dataset, and that
 //! `/metrics` counters are consistent with the issued request count.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use llm_pilot::core::{CharacterizationDataset, PerfRow, PredictorConfig};
 use llm_pilot::ml::GbdtParams;
-use llm_pilot::serve::{http_request, HttpClient, ServeConfig, Server};
+use llm_pilot::serve::{http_request, HttpClient, ServeConfig, Server, ServerHandle};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Synthetic characterization rows: `itl_scale[profile]` sets per-user
 /// inter-token latency, so feasibility (ITL ≤ 50 ms) flips per profile.
@@ -73,20 +77,128 @@ fn metric_value(scrape: &str, series: &str) -> Option<f64> {
         .and_then(|l| l[series.len() + 1..].trim().parse().ok())
 }
 
+/// Concurrent clients of the reload-under-load phases.
+const CLIENTS: usize = 8;
+
+/// The dataset behind generation `generation`: the daemon starts at
+/// generation 1 on v1 and every reload flips it, so odd generations are v1
+/// and even ones v2.
+fn dataset_for(generation: u64) -> CharacterizationDataset {
+    if generation % 2 == 1 {
+        dataset_v1()
+    } else {
+        dataset_v2()
+    }
+}
+
+/// The profile every `/recommend` answer of `generation` must pick.
+fn expected_profile(generation: u64) -> &'static str {
+    if generation % 2 == 1 {
+        "1xA100-40GB"
+    } else {
+        "1xA100-80GB"
+    }
+}
+
+/// A daemon on an ephemeral port whose reloads are explicit `POST /reload`s.
+/// A keep-alive client holds its worker for the whole session, so there
+/// are workers for all `CLIENTS` plus the reloader: a reload then runs
+/// while every client is mid-session, not after some have finished.
+fn start_reload_server(data_path: &Path) -> ServerHandle {
+    let mut config = ServeConfig::new(data_path);
+    config.addr = "127.0.0.1:0".into();
+    config.workers = CLIENTS + 2;
+    config.queue_capacity = 512;
+    config.cache_capacity = 1024;
+    config.watch_interval = None;
+    config.predictor = fast_predictor();
+    Server::start(config).expect("server should start")
+}
+
+/// Concurrent `/recommend` load with hot reloads under it, against a
+/// daemon live at generation 1. `CLIENTS` keep-alive clients each send at
+/// least `min_requests` queries and keep going until the last reload is
+/// done. Meanwhile this thread, for each entry of `reload_after`, sleeps
+/// that long, writes the next generation's dataset and forces
+/// `POST /reload`. Every answer must be a 200 whose dataset and model
+/// generations agree and whose profile is the one its generation's
+/// dataset implies. Returns the generation of every answer.
+fn load_with_reloads(
+    addr: SocketAddr,
+    data_path: &Path,
+    reload_after: &[Duration],
+    min_requests: usize,
+    issued: &Arc<AtomicU64>,
+) -> Vec<u64> {
+    let reloads_done = Arc::new(AtomicBool::new(false));
+    let mut clients = Vec::new();
+    for c in 0..CLIENTS {
+        let issued = Arc::clone(issued);
+        let reloads_done = Arc::clone(&reloads_done);
+        clients.push(std::thread::spawn(move || {
+            let mut conn = HttpClient::connect(addr).expect("client connect");
+            let mut answers = Vec::new();
+            for i in 0.. {
+                if i >= min_requests && reloads_done.load(Ordering::SeqCst) {
+                    break;
+                }
+                let llm = if (c + i) % 2 == 0 { "Llama-2-7b" } else { "Llama-2-13b" };
+                let users = 50 + ((c * min_requests + i) % 4) * 50;
+                let target = format!("/recommend?model={llm}&users={users}");
+                let resp = conn.request("GET", &target).expect("request on live server");
+                issued.fetch_add(1, Ordering::SeqCst);
+                answers.push(resp);
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            answers
+        }));
+    }
+
+    for (k, pause) in reload_after.iter().enumerate() {
+        std::thread::sleep(*pause);
+        let generation = k as u64 + 2;
+        std::fs::write(data_path, dataset_for(generation).to_csv()).unwrap();
+        let reload = http_request(addr, "POST", "/reload").unwrap();
+        assert_eq!(reload.status, 200, "body: {}", reload.text());
+        let reload_body = reload.text();
+        assert!(reload_body.contains("\"reloaded\":true"), "body: {reload_body}");
+        assert_eq!(extract_u64(&reload_body, "dataset_generation"), Some(generation));
+        assert_eq!(extract_u64(&reload_body, "model_generation"), Some(generation));
+    }
+    reloads_done.store(true, Ordering::SeqCst);
+
+    // Every concurrent response must be well-formed: HTTP 200, the
+    // profile of the generation it reports, and one generation for both
+    // dataset and model — never a mix, never a dropped/corrupted reply.
+    let last_generation = reload_after.len() as u64 + 1;
+    let mut generations = Vec::new();
+    for client in clients {
+        for resp in client.join().expect("client thread must not panic") {
+            assert_eq!(resp.status, 200, "body: {}", resp.text());
+            let body = resp.text();
+            let ds_gen = extract_u64(&body, "dataset_generation").unwrap();
+            let model_gen = extract_u64(&body, "model_generation").unwrap();
+            assert!((1..=last_generation).contains(&ds_gen), "bad generation in {body}");
+            assert_eq!(ds_gen, model_gen, "mixed generations in {body}");
+            assert_eq!(
+                extract_str(&body, "profile"),
+                Some(expected_profile(ds_gen)),
+                "answer must use generation {ds_gen}'s dataset: {body}"
+            );
+            assert!(extract_u64(&body, "pods").unwrap() >= 1);
+            generations.push(ds_gen);
+        }
+    }
+    generations
+}
+
 #[test]
 fn serve_end_to_end_with_hot_reload_under_concurrent_load() {
     let dir = std::env::temp_dir();
     let data_path = dir.join(format!("llmpilot-e2e-{}.csv", std::process::id()));
     std::fs::write(&data_path, dataset_v1().to_csv()).unwrap();
 
-    let mut config = ServeConfig::new(&data_path);
-    config.addr = "127.0.0.1:0".into();
-    config.workers = 4;
-    config.queue_capacity = 512;
-    config.cache_capacity = 1024;
-    config.watch_interval = None; // reloads are explicit POST /reload here
-    config.predictor = fast_predictor();
-    let handle = Server::start(config).expect("server should start");
+    let handle = start_reload_server(&data_path);
     let addr = handle.addr();
 
     let issued_recommend = Arc::new(AtomicU64::new(0));
@@ -108,62 +220,11 @@ fn serve_end_to_end_with_hot_reload_under_concurrent_load() {
     assert_eq!(repeat.text(), body);
 
     // --- Phase 2: concurrent load with a hot reload in the middle. ----
-    const CLIENTS: usize = 8;
     const REQUESTS_PER_CLIENT: usize = 60;
-    let mut clients = Vec::new();
-    for c in 0..CLIENTS {
-        let issued = Arc::clone(&issued_recommend);
-        clients.push(std::thread::spawn(move || {
-            let mut conn = HttpClient::connect(addr).expect("client connect");
-            let mut answers = Vec::new();
-            for i in 0..REQUESTS_PER_CLIENT {
-                let llm = if (c + i) % 2 == 0 { "Llama-2-7b" } else { "Llama-2-13b" };
-                let users = 50 + ((c * REQUESTS_PER_CLIENT + i) % 4) * 50;
-                let target = format!("/recommend?model={llm}&users={users}");
-                let resp = conn.request("GET", &target).expect("request on live server");
-                issued.fetch_add(1, Ordering::SeqCst);
-                answers.push(resp);
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            answers
-        }));
-    }
-
-    // Let the load ramp, then swap the dataset under it.
-    std::thread::sleep(Duration::from_millis(40));
-    std::fs::write(&data_path, dataset_v2().to_csv()).unwrap();
-    let reload = http_request(addr, "POST", "/reload").unwrap();
-    assert_eq!(reload.status, 200, "body: {}", reload.text());
-    let reload_body = reload.text();
-    assert!(reload_body.contains("\"reloaded\":true"), "body: {reload_body}");
-    assert_eq!(extract_u64(&reload_body, "dataset_generation"), Some(2));
-    assert_eq!(extract_u64(&reload_body, "model_generation"), Some(2));
-
-    // Every concurrent response must be well-formed: HTTP 200, a known
-    // profile, and generation tags from either the old or new generation
-    // — never a mix, never a dropped/corrupted reply.
-    let mut total = 0usize;
-    for client in clients {
-        for resp in client.join().expect("client thread must not panic") {
-            total += 1;
-            assert_eq!(resp.status, 200, "body: {}", resp.text());
-            let body = resp.text();
-            let profile = extract_str(&body, "profile").expect("profile field");
-            assert!(
-                profile == "1xA100-40GB" || profile == "1xA100-80GB",
-                "unexpected profile {profile} in {body}"
-            );
-            let ds_gen = extract_u64(&body, "dataset_generation").unwrap();
-            let model_gen = extract_u64(&body, "model_generation").unwrap();
-            assert!(ds_gen == 1 || ds_gen == 2, "bad generation in {body}");
-            assert_eq!(ds_gen, model_gen, "mixed generations in {body}");
-            if ds_gen == 2 {
-                assert_eq!(profile, "1xA100-80GB", "post-reload answer must use v2: {body}");
-            }
-            assert!(extract_u64(&body, "pods").unwrap() >= 1);
-        }
-    }
-    assert_eq!(total, CLIENTS * REQUESTS_PER_CLIENT);
+    let reload_after = [Duration::from_millis(40)];
+    let generations =
+        load_with_reloads(addr, &data_path, &reload_after, REQUESTS_PER_CLIENT, &issued_recommend);
+    assert!(generations.len() >= CLIENTS * REQUESTS_PER_CLIENT);
 
     // --- Phase 3: post-reload answers reflect dataset v2. -------------
     let resp = http_request(addr, "GET", "/recommend?model=Llama-2-13b&users=333").unwrap();
@@ -212,6 +273,43 @@ fn serve_end_to_end_with_hot_reload_under_concurrent_load() {
     assert_eq!(resp.status, 404);
     let resp = http_request(addr, "GET", "/healthz").unwrap();
     assert_eq!(resp.status, 200);
+
+    handle.shutdown();
+    std::fs::remove_file(&data_path).ok();
+}
+
+/// Reload-under-load, many times over: 24 reloads alternating v2/v1 at
+/// seeded pauses under `CLIENTS` concurrent clients. Each answer must still
+/// pair one dataset generation with the model trained on it, and pick
+/// that generation's profile.
+#[test]
+fn serve_repeated_alternating_reloads_under_load_never_mix_generations() {
+    const RELOADS: usize = 24;
+    let data_path =
+        std::env::temp_dir().join(format!("llmpilot-e2e-stress-{}.csv", std::process::id()));
+    std::fs::write(&data_path, dataset_for(1).to_csv()).unwrap();
+    let handle = start_reload_server(&data_path);
+    let addr = handle.addr();
+
+    let mut rng = StdRng::seed_from_u64(0x5eed_2e10);
+    let reload_after: Vec<Duration> =
+        (0..RELOADS).map(|_| Duration::from_millis(rng.random_range(1..=12))).collect();
+    let issued = Arc::new(AtomicU64::new(0));
+    let generations = load_with_reloads(addr, &data_path, &reload_after, 20, &issued);
+    assert!(generations.len() >= CLIENTS * 20);
+    let seen: std::collections::BTreeSet<u64> = generations.iter().copied().collect();
+    assert!(seen.len() >= 2, "the load must overlap the reloads, saw only {seen:?}");
+
+    let text = http_request(addr, "GET", "/metrics").unwrap().text();
+    let last = (RELOADS + 1) as f64;
+    assert_eq!(metric_value(&text, "llmpilot_reloads_total"), Some(RELOADS as f64));
+    assert_eq!(metric_value(&text, "llmpilot_dataset_generation"), Some(last));
+    assert_eq!(metric_value(&text, "llmpilot_model_generation"), Some(last));
+    assert_eq!(
+        metric_value(&text, "llmpilot_requests_total{route=\"recommend\"}"),
+        Some(issued.load(Ordering::SeqCst) as f64)
+    );
+    assert_eq!(metric_value(&text, "llmpilot_responses_total{class=\"5xx\"}"), Some(0.0));
 
     handle.shutdown();
     std::fs::remove_file(&data_path).ok();
