@@ -189,14 +189,18 @@ impl Histogram {
         self.count() == 0
     }
 
+    /// Sum of the recorded values, saturating at `u64::MAX`.
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
+    }
+
     /// Exact arithmetic mean of the recorded values (0.0 when empty).
-    /// The internal sum saturates at `u64::MAX`.
     pub fn mean(&self) -> f64 {
         let n = self.count();
         if n == 0 {
             0.0
         } else {
-            self.sum.load(Ordering::Relaxed) as f64 / n as f64
+            self.sum() as f64 / n as f64
         }
     }
 

@@ -12,11 +12,13 @@
 //!   span does not even read the clock.
 //! * [`Span`] — an RAII guard. The span is recorded when the guard drops;
 //!   typed arguments ([`ArgValue`]) attach via [`Span::arg`].
-//! * [`Counter`] / [`Recorder::counter_add`] / [`Recorder::gauge_set`] —
-//!   atomic counters and gauges, exported as Chrome `"C"` events.
-//! * [`chrome`] — Chrome `trace_event` JSON export (loadable in
-//!   `chrome://tracing` and Perfetto), [`summary`] — a plain-text
-//!   hierarchical profile, [`json`] — a tiny JSON parser plus the shared
+//! * [`Recorder::counter_add`] / [`Recorder::gauge_set`] /
+//!   [`Recorder::gauge_add`] — named counters and gauges.
+//! * Three exporters: [`chrome`] — Chrome `trace_event` JSON (loadable in
+//!   `chrome://tracing` and Perfetto, counters as `"C"` events),
+//!   [`summary`] — a plain-text hierarchical profile, and [`prom`] —
+//!   Prometheus text for counters, gauges and histograms. Beside them,
+//!   [`json`] — a tiny JSON parser plus the shared
 //!   [`json::JsonWriter`] emitter, and [`check`] — the structural
 //!   validators behind the `trace-check` binary.
 //! * [`hist`] — a log-linear HDR histogram (lock-free `AtomicU64`
@@ -37,12 +39,13 @@ pub mod events;
 pub mod flight;
 pub mod hist;
 pub mod json;
+pub mod prom;
 pub mod summary;
 
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -160,8 +163,8 @@ struct Inner {
     next_span: AtomicU64,
     next_tid: AtomicU64,
     threads: Mutex<Vec<Arc<ThreadBuf>>>,
-    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
+    counters: Mutex<BTreeMap<String, u64>>,
+    gauges: Mutex<BTreeMap<String, i64>>,
     spans_recorded: AtomicU64,
     /// `Some(n)`: each thread buffer keeps only the most recent `n`
     /// completed spans (ring-buffer mode, used by [`flight`]).
@@ -193,26 +196,19 @@ impl Inner {
         self.threads.lock().unwrap_or_else(PoisonError::into_inner).push(Arc::clone(&buf));
         LocalState { buf, stack: Vec::new() }
     }
+}
 
-    fn counter_cell(&self, name: &str) -> Arc<AtomicU64> {
-        let mut map = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(cell) = map.get(name) {
-            return Arc::clone(cell);
-        }
-        let cell = Arc::new(AtomicU64::new(0));
-        map.insert(name.to_string(), Arc::clone(&cell));
-        cell
+/// Apply `f` to the named entry of `map`, inserting it at zero first.
+fn update<T: Default>(map: &Mutex<BTreeMap<String, T>>, name: &str, f: impl FnOnce(&mut T)) {
+    let mut map = map.lock().unwrap_or_else(PoisonError::into_inner);
+    match map.get_mut(name) {
+        Some(value) => f(value),
+        None => f(map.entry(name.to_string()).or_default()),
     }
+}
 
-    fn gauge_cell(&self, name: &str) -> Arc<AtomicI64> {
-        let mut map = self.gauges.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(cell) = map.get(name) {
-            return Arc::clone(cell);
-        }
-        let cell = Arc::new(AtomicI64::new(0));
-        map.insert(name.to_string(), Arc::clone(&cell));
-        cell
-    }
+fn lock_clone<T: Clone>(map: &Mutex<T>) -> T {
+    map.lock().unwrap_or_else(PoisonError::into_inner).clone()
 }
 
 /// A lock-light structured trace recorder.
@@ -295,22 +291,24 @@ impl Recorder {
         }
     }
 
-    /// A reusable handle to a named counter (no map lookup per add).
-    pub fn counter(&self, name: &str) -> Counter {
-        Counter { cell: self.inner.as_ref().map(|inner| inner.counter_cell(name)) }
-    }
-
     /// Add `delta` to the named counter.
     pub fn counter_add(&self, name: &str, delta: u64) {
         if let Some(inner) = &self.inner {
-            inner.counter_cell(name).fetch_add(delta, Ordering::Relaxed);
+            update(&inner.counters, name, |c| *c = c.wrapping_add(delta));
         }
     }
 
     /// Set the named gauge to `value`.
     pub fn gauge_set(&self, name: &str, value: i64) {
         if let Some(inner) = &self.inner {
-            inner.gauge_cell(name).store(value, Ordering::Relaxed);
+            update(&inner.gauges, name, |g| *g = value);
+        }
+    }
+
+    /// Add `delta` (possibly negative) to the named gauge.
+    pub fn gauge_add(&self, name: &str, delta: i64) {
+        if let Some(inner) = &self.inner {
+            update(&inner.gauges, name, |g| *g = g.wrapping_add(delta));
         }
     }
 
@@ -339,20 +337,8 @@ impl Recorder {
                 .extend(buf.events.lock().unwrap_or_else(PoisonError::into_inner).iter().cloned());
         }
         events.sort_by_key(|e| (e.begin_ns, e.id));
-        let counters = inner
-            .counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
-            .collect();
-        let gauges = inner
-            .gauges
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
-            .collect();
+        let counters = lock_clone(&inner.counters).into_iter().collect();
+        let gauges = lock_clone(&inner.gauges).into_iter().collect();
         Trace { events, counters, gauges }
     }
 }
@@ -439,26 +425,6 @@ impl std::fmt::Debug for Span {
     }
 }
 
-/// A cached handle to one named counter of a [`Recorder`].
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    cell: Option<Arc<AtomicU64>>,
-}
-
-impl Counter {
-    /// Add `delta` to the counter (no-op for a disabled recorder).
-    pub fn add(&self, delta: u64) {
-        if let Some(cell) = &self.cell {
-            cell.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    /// Current counter value (0 for a disabled recorder).
-    pub fn get(&self) -> u64 {
-        self.cell.as_ref().map_or(0, |cell| cell.load(Ordering::Relaxed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,6 +436,7 @@ mod tests {
             let _root = rec.span("root").arg("k", 1u64);
             rec.counter_add("c", 5);
             rec.gauge_set("g", -2);
+            rec.gauge_add("g", 1);
         }
         assert!(!rec.is_enabled());
         assert_eq!(rec.spans_recorded(), 0);
@@ -524,16 +491,16 @@ mod tests {
     #[test]
     fn counters_and_gauges_snapshot() {
         let rec = Recorder::enabled();
-        let c = rec.counter("steps");
-        c.add(3);
-        c.add(4);
+        rec.counter_add("steps", 3);
+        rec.counter_add("steps", 4);
         rec.counter_add("steps", 1);
         rec.gauge_set("depth", 7);
         rec.gauge_set("depth", -1);
+        rec.gauge_add("queued", 2);
+        rec.gauge_add("queued", -3);
         let trace = rec.snapshot();
         assert_eq!(trace.counters, vec![("steps".to_string(), 8)]);
-        assert_eq!(trace.gauges, vec![("depth".to_string(), -1)]);
-        assert_eq!(c.get(), 8);
+        assert_eq!(trace.gauges, vec![("depth".to_string(), -1), ("queued".to_string(), -1)]);
     }
 
     #[test]

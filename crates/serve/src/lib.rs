@@ -35,7 +35,6 @@ pub mod store;
 pub use cache::LruCache;
 pub use client::{http_request, ClientResponse, HttpClient};
 pub use http::{parse_request, Limits, ParseError, Request, Response};
-pub use metrics::{Metrics, Route};
 pub use registry::{ModelRegistry, TrainedModel};
 pub use server::{ServeConfig, ServeError, Server, ServerHandle};
 pub use store::{DatasetStore, ReloadOutcome};

@@ -25,12 +25,13 @@ use llmpilot_core::{
     online_predictor_config, CoreError, LatencyConstraints, PredictorConfig, RecommendationRequest,
 };
 use llmpilot_obs::events::EventSink;
+use llmpilot_obs::hist::Histogram;
 use llmpilot_obs::json::JsonWriter;
 use llmpilot_obs::{ArgValue, Recorder};
 
 use crate::cache::LruCache;
 use crate::http::{parse_request, Limits, Request, Response};
-use crate::metrics::{Metrics, Route};
+use crate::metrics;
 use crate::registry::ModelRegistry;
 use crate::store::DatasetStore;
 
@@ -141,7 +142,10 @@ type CacheKey = (String, u32, u64, u64, u64, u64);
 struct Ctx {
     store: DatasetStore,
     registry: ModelRegistry,
-    metrics: Metrics,
+    /// The `/metrics` counters and gauges; never holds a span.
+    metrics: Recorder,
+    /// Service latency of handled requests, nanoseconds.
+    latency: Histogram,
     cache: Mutex<LruCache<CacheKey, String>>,
     config: ServeConfig,
     shutdown: AtomicBool,
@@ -162,11 +166,6 @@ impl ServerHandle {
     /// The bound address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The daemon's metric registry (for embedding tests/benchmarks).
-    pub fn metrics(&self) -> &Metrics {
-        &self.ctx.metrics
     }
 
     /// Graceful shutdown: stop accepting, drain queued and in-flight
@@ -204,12 +203,14 @@ impl Server {
         let store = DatasetStore::open(&config.data_path)?;
         let registry = ModelRegistry::new(config.train_constraints, config.predictor.clone())
             .with_recorder(config.recorder.clone());
-        let metrics = Metrics::new();
+        let metrics = Recorder::enabled();
+        metrics::register(&metrics);
 
         let (dataset, generation) = store.snapshot();
         let model_generation = registry.train_and_swap(&dataset, generation)?;
-        metrics.set_dataset_generation(generation);
-        metrics.record_retrain(true, model_generation);
+        metrics.gauge_set(metrics::DATASET_GENERATION, generation as i64);
+        metrics.counter_add(metrics::RETRAINS_OK, 1);
+        metrics.gauge_set(metrics::MODEL_GENERATION, model_generation as i64);
 
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -219,6 +220,7 @@ impl Server {
             store,
             registry,
             metrics,
+            latency: Histogram::default(),
             cache,
             config,
             shutdown: AtomicBool::new(false),
@@ -273,17 +275,35 @@ impl Server {
     }
 }
 
-/// Append a reload/retrain outcome to the telemetry stream. `source` is
-/// `"watch"` (mtime watcher) or `"reload"` (`POST /reload`).
-fn emit_reload_event(ctx: &Ctx, source: &str, ok: bool, generation: u64, model_generation: u64) {
+/// After a reload that changed the dataset: count it, retrain on the new
+/// snapshot, count the outcome and append it to the telemetry stream.
+/// `source` is `"watch"` (mtime watcher) or `"reload"` (`POST /reload`).
+/// Returns the new model generation.
+fn retrain_after_reload(ctx: &Ctx, source: &str) -> Result<u64, CoreError> {
+    ctx.metrics.counter_add(metrics::RELOADS, 1);
+    let (dataset, generation) = ctx.store.snapshot();
+    ctx.metrics.gauge_set(metrics::DATASET_GENERATION, generation as i64);
+    let result = ctx.registry.train_and_swap(&dataset, generation);
+    let (event, model_generation) = match result {
+        Ok(model_generation) => {
+            ctx.metrics.counter_add(metrics::RETRAINS_OK, 1);
+            ctx.metrics.gauge_set(metrics::MODEL_GENERATION, model_generation as i64);
+            ("serve.reloaded", model_generation)
+        }
+        Err(_) => {
+            ctx.metrics.counter_add(metrics::RETRAINS_FAILED, 1);
+            ("serve.retrain_failed", 0)
+        }
+    };
     ctx.config.events.emit(
-        if ok { "serve.reloaded" } else { "serve.retrain_failed" },
+        event,
         &[
             ("source", ArgValue::Str(source.to_string())),
             ("dataset_generation", ArgValue::U64(generation)),
             ("model_generation", ArgValue::U64(model_generation)),
         ],
     );
+    result
 }
 
 /// Accept connections and queue them; answer 503 when the queue is full.
@@ -303,10 +323,13 @@ fn acceptor_loop(ctx: &Ctx, listener: &TcpListener, tx: SyncSender<TcpStream>) {
             return;
         }
         match tx.try_send(stream) {
-            Ok(()) => ctx.metrics.record_enqueued(),
+            Ok(()) => {
+                ctx.metrics.gauge_add(metrics::QUEUE_DEPTH, 1);
+                ctx.metrics.counter_add(metrics::CONNECTIONS, 1);
+            }
             Err(TrySendError::Full(mut stream)) => {
-                ctx.metrics.record_rejected();
-                ctx.metrics.record_response(503);
+                ctx.metrics.counter_add(metrics::QUEUE_REJECTED, 1);
+                ctx.metrics.counter_add(metrics::response(503), 1);
                 let trace_id = ctx.next_trace_id.fetch_add(1, Ordering::Relaxed);
                 let resp =
                     Response::json(503, "{\"error\":\"server overloaded, retry later\"}".into())
@@ -330,7 +353,7 @@ fn worker_loop(ctx: &Ctx, rx: &Mutex<Receiver<TcpStream>>) {
         };
         match stream {
             Ok(stream) => {
-                ctx.metrics.record_dequeued();
+                ctx.metrics.gauge_add(metrics::QUEUE_DEPTH, -1);
                 handle_connection(ctx, stream);
             }
             Err(_) => return, // sender dropped: shutdown drain complete
@@ -352,21 +375,8 @@ fn watcher_loop(ctx: &Ctx) {
             continue;
         }
         elapsed = Duration::ZERO;
-        if let Ok(outcome) = ctx.store.reload_if_modified() {
-            if outcome.changed {
-                ctx.metrics.record_reload(outcome.generation);
-                let (dataset, generation) = ctx.store.snapshot();
-                match ctx.registry.train_and_swap(&dataset, generation) {
-                    Ok(model_generation) => {
-                        ctx.metrics.record_retrain(true, model_generation);
-                        emit_reload_event(ctx, "watch", true, generation, model_generation);
-                    }
-                    Err(_) => {
-                        ctx.metrics.record_retrain(false, 0);
-                        emit_reload_event(ctx, "watch", false, generation, 0);
-                    }
-                }
-            }
+        if ctx.store.reload_if_modified().is_ok_and(|outcome| outcome.changed) {
+            let _ = retrain_after_reload(ctx, "watch");
         }
     }
 }
@@ -401,8 +411,8 @@ fn handle_connection(ctx: &Ctx, stream: TcpStream) {
                     response
                 };
                 let response = response.with_header("X-Trace-Id", format!("{trace_id:08x}"));
-                ctx.metrics.record_response(response.status);
-                ctx.metrics.record_latency(started.elapsed());
+                ctx.metrics.counter_add(metrics::response(response.status), 1);
+                ctx.latency.record_secs(started.elapsed().as_secs_f64());
                 let keep_alive = request.keep_alive()
                     && served < ctx.config.max_requests_per_connection
                     && !ctx.shutdown.load(Ordering::SeqCst);
@@ -414,8 +424,8 @@ fn handle_connection(ctx: &Ctx, stream: TcpStream) {
                 let status = e.status();
                 if status != 0 {
                     let trace_id = ctx.next_trace_id.fetch_add(1, Ordering::Relaxed);
-                    ctx.metrics.record_request(Route::Other);
-                    ctx.metrics.record_response(status);
+                    ctx.metrics.counter_add(metrics::REQUESTS_OTHER, 1);
+                    ctx.metrics.counter_add(metrics::response(status), 1);
                     let body = error_body(&e.to_string());
                     let _ = Response::json(status, body)
                         .with_header("X-Trace-Id", format!("{trace_id:08x}"))
@@ -431,20 +441,21 @@ fn handle_connection(ctx: &Ctx, stream: TcpStream) {
 fn route(ctx: &Ctx, request: &Request) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/recommend") => {
-            ctx.metrics.record_request(Route::Recommend);
+            ctx.metrics.counter_add(metrics::REQUESTS_RECOMMEND, 1);
             handle_recommend(ctx, request)
         }
         ("POST", "/reload") => {
-            ctx.metrics.record_request(Route::Reload);
+            ctx.metrics.counter_add(metrics::REQUESTS_RELOAD, 1);
             handle_reload(ctx)
         }
         ("GET", "/metrics") => {
-            ctx.metrics.record_request(Route::Metrics);
-            ctx.metrics.set_trace_spans(ctx.config.recorder.spans_recorded());
-            Response::text(200, ctx.metrics.render())
+            ctx.metrics.counter_add(metrics::REQUESTS_METRICS, 1);
+            let spans = ctx.config.recorder.spans_recorded();
+            ctx.metrics.gauge_set(metrics::TRACE_SPANS, spans as i64);
+            Response::text(200, metrics::render(&ctx.metrics, &ctx.latency))
         }
         ("GET", "/healthz") => {
-            ctx.metrics.record_request(Route::Health);
+            ctx.metrics.counter_add(metrics::REQUESTS_HEALTH, 1);
             let ready = ctx.registry.current().is_some();
             let mut w = JsonWriter::new();
             w.begin_object();
@@ -454,11 +465,11 @@ fn route(ctx: &Ctx, request: &Request) -> Response {
             Response::json(if ready { 200 } else { 503 }, w.finish())
         }
         ("GET" | "POST", _) => {
-            ctx.metrics.record_request(Route::Other);
+            ctx.metrics.counter_add(metrics::REQUESTS_OTHER, 1);
             Response::json(404, "{\"error\":\"no such endpoint\"}".into())
         }
         _ => {
-            ctx.metrics.record_request(Route::Other);
+            ctx.metrics.counter_add(metrics::REQUESTS_OTHER, 1);
             Response::json(405, "{\"error\":\"method not allowed\"}".into())
         }
     }
@@ -532,11 +543,11 @@ fn handle_recommend(ctx: &Ctx, request: &Request) -> Response {
     );
     if let Ok(mut cache) = ctx.cache.lock() {
         if let Some(body) = cache.get(&key) {
-            ctx.metrics.record_cache(true);
+            ctx.metrics.counter_add(metrics::CACHE_HITS, 1);
             return Response::json(200, body).with_header("X-Cache", "hit");
         }
     }
-    ctx.metrics.record_cache(false);
+    ctx.metrics.counter_add(metrics::CACHE_MISSES, 1);
 
     let req = RecommendationRequest {
         total_users: users,
@@ -593,18 +604,8 @@ fn handle_reload(ctx: &Ctx) -> Response {
     match ctx.store.reload() {
         Ok(outcome) => {
             if outcome.changed {
-                ctx.metrics.record_reload(outcome.generation);
-                let (dataset, generation) = ctx.store.snapshot();
-                match ctx.registry.train_and_swap(&dataset, generation) {
-                    Ok(model_generation) => {
-                        ctx.metrics.record_retrain(true, model_generation);
-                        emit_reload_event(ctx, "reload", true, generation, model_generation);
-                    }
-                    Err(e) => {
-                        ctx.metrics.record_retrain(false, 0);
-                        emit_reload_event(ctx, "reload", false, generation, 0);
-                        return Response::json(500, error_body(&format!("retraining failed: {e}")));
-                    }
+                if let Err(e) = retrain_after_reload(ctx, "reload") {
+                    return Response::json(500, error_body(&format!("retraining failed: {e}")));
                 }
             }
             let model_generation = ctx.registry.current().map_or(0, |m| m.model_generation);
