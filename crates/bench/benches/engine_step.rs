@@ -65,8 +65,11 @@ fn bench_engine_recorder_overhead(c: &mut Criterion) {
 
 /// Cost of the per-phase HDR histograms: an engine recording every
 /// prefill/decode duration into lock-free `Histogram`s vs. the plain
-/// engine. Recording is two atomic adds per step, so this should sit
-/// within a few percent of the `engine_step_no_recorder` group.
+/// engine. Each recorded sample (one decode cost per step, one prefill
+/// cost per admitted request) is three atomic read-modify-writes
+/// (`fetch_add` on slot and total, a compare-exchange loop for the
+/// saturating sum) plus `fetch_min` and `fetch_max`, which compile to two
+/// more compare-exchange loops on x86.
 fn bench_engine_phase_hists(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_step_phase_hists");
     let engine = engine_with_batch(32, None).with_phase_hists(Arc::new(PhaseHists::default()));

@@ -153,9 +153,40 @@ impl Histogram {
     /// Record a duration given in seconds as integer nanoseconds.
     /// Non-finite or negative inputs are ignored.
     pub fn record_secs(&self, seconds: f64) {
-        if seconds.is_finite() && seconds >= 0.0 {
-            self.record((seconds * 1e9).round().min(u64::MAX as f64) as u64);
+        if let Some(ns) = secs_to_nanos(seconds) {
+            self.record(ns);
         }
+    }
+
+    /// [`Histogram::record_secs`] for every element of `seconds`, with the
+    /// same filtering and rounding, but binned locally first: one
+    /// `fetch_add` per touched slot and one update each of the total, sum,
+    /// min and max, instead of five atomic updates per sample. The result
+    /// is identical to recording the samples one by one.
+    pub fn record_secs_all(&self, seconds: &[f64]) {
+        let mut local = vec![0u64; self.counts.len()];
+        let (mut n, mut sum, mut min, mut max) = (0u64, 0u64, u64::MAX, 0u64);
+        for ns in seconds.iter().filter_map(|&s| secs_to_nanos(s)) {
+            local[self.index_for(ns)] += 1;
+            n += 1;
+            sum = sum.saturating_add(ns);
+            min = min.min(ns);
+            max = max.max(ns);
+        }
+        if n == 0 {
+            return;
+        }
+        for (slot, &c) in self.counts.iter().zip(&local) {
+            if c > 0 {
+                slot.fetch_add(c, Ordering::Relaxed);
+            }
+        }
+        self.total.fetch_add(n, Ordering::Relaxed);
+        let _ = self
+            .sum
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| Some(s.saturating_add(sum)));
+        self.min.fetch_min(min, Ordering::Relaxed);
+        self.max.fetch_max(max, Ordering::Relaxed);
     }
 
     /// Add every sample of `other` into `self`. Exactly equivalent to
@@ -302,6 +333,13 @@ impl Histogram {
     }
 }
 
+/// Seconds as rounded integer nanoseconds; `None` for non-finite or
+/// negative input.
+fn secs_to_nanos(seconds: f64) -> Option<u64> {
+    (seconds.is_finite() && seconds >= 0.0)
+        .then(|| (seconds * 1e9).round().min(u64::MAX as f64) as u64)
+}
+
 impl Default for Histogram {
     /// Two significant digits: ≤1% relative quantile error in ~58 KiB.
     fn default() -> Self {
@@ -414,6 +452,58 @@ mod tests {
         h.record_secs(-1.0);
         assert_eq!(h.count(), 1);
         assert_within_1pct(h.quantile(0.5), 1_000_000, "1ms in ns");
+    }
+
+    #[test]
+    fn record_secs_all_equals_recording_one_by_one() {
+        let xs = [
+            0.001,
+            2.5e-3,
+            0.001,
+            0.0,
+            -0.0,
+            f64::NAN,
+            -1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            7.25,
+            1e-9,
+            4e-10,
+            1e12,
+            3.3e-5,
+        ];
+        let bulk = Histogram::default();
+        let single = Histogram::default();
+        bulk.record_secs(0.5); // pre-existing samples are added to, not replaced
+        single.record_secs(0.5);
+        bulk.record_secs_all(&xs);
+        for &x in &xs {
+            single.record_secs(x);
+        }
+        assert_eq!(bulk.nonzero_buckets(), single.nonzero_buckets());
+        assert_eq!(bulk.summary(), single.summary());
+        assert_eq!(bulk.sum(), single.sum());
+        // NaN, -1.0 and both infinities are skipped; -0.0 records as 0 ns
+        // and 1e12 s saturates at u64::MAX, as with `record_secs`.
+        assert_eq!(bulk.count(), 1 + xs.len() as u64 - 4);
+        assert_eq!(bulk.min(), 0);
+        assert_eq!(bulk.max(), u64::MAX);
+        assert_eq!(bulk.sum(), u64::MAX);
+    }
+
+    #[test]
+    fn record_secs_all_of_nothing_is_a_no_op() {
+        let h = Histogram::default();
+        h.record_secs_all(&[]);
+        h.record_secs_all(&[f64::NAN, -2.0, f64::INFINITY]);
+        assert!(h.is_empty());
+        assert_eq!(h.summary(), Histogram::default().summary());
+        assert_eq!(h.sum(), 0);
+        let h = Histogram::default();
+        h.record_secs(0.25);
+        let before = (h.nonzero_buckets(), h.summary(), h.sum());
+        h.record_secs_all(&[]);
+        assert_eq!((h.nonzero_buckets(), h.summary(), h.sum()), before);
     }
 
     #[test]

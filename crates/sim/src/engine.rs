@@ -356,8 +356,18 @@ impl Engine {
     /// no work.
     pub fn step(&mut self) -> StepResult {
         let mut result = StepResult::default();
+        self.step_into(&mut result);
+        result
+    }
+
+    /// [`Engine::step`] into a caller-owned buffer: `result` is cleared and
+    /// refilled, so a driver that keeps one [`StepResult`] across its steps
+    /// allocates nothing per step once the buffer has grown.
+    pub fn step_into(&mut self, result: &mut StepResult) {
+        result.emissions.clear();
+        result.completions.clear();
         if !self.has_work() {
-            return result;
+            return;
         }
         let _step_span = self.recorder.span("engine.step");
         self.recorder.counter_add("engine.steps", 1);
@@ -452,7 +462,6 @@ impl Engine {
         }
         let emitted: u64 = result.emissions.iter().map(|em| u64::from(em.count)).sum();
         self.recorder.counter_add("engine.tokens_emitted", emitted);
-        result
     }
 }
 
@@ -693,6 +702,30 @@ mod tests {
         assert!(r.emissions.is_empty());
         assert!(r.completions.is_empty());
         assert_eq!(e.clock(), 0.0);
+    }
+
+    #[test]
+    fn step_into_a_reused_buffer_matches_step() {
+        let mut fresh = engine(2_000);
+        let mut reused = engine(2_000);
+        for (input, output) in [(300, 4), (500, 2), (900, 6), (100, 1)] {
+            fresh.submit(RequestSpec::new(input, output)).unwrap();
+            reused.submit(RequestSpec::new(input, output)).unwrap();
+        }
+        let mut buf = StepResult::default();
+        while fresh.has_work() {
+            let want = fresh.step();
+            reused.step_into(&mut buf);
+            assert_eq!(buf.emissions, want.emissions);
+            assert_eq!(buf.completions, want.completions);
+            assert_eq!(reused.clock(), fresh.clock());
+        }
+        assert!(!reused.has_work());
+        // Without work the buffer is cleared and the clock stays put.
+        let clock = reused.clock();
+        reused.step_into(&mut buf);
+        assert!(buf.emissions.is_empty() && buf.completions.is_empty());
+        assert_eq!(reused.clock(), clock);
     }
 
     #[test]

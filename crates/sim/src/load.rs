@@ -9,10 +9,11 @@
 //! throughput — all medians/totals over a fixed-duration window.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use llmpilot_obs::hist::Histogram;
 
-use crate::engine::{Engine, RequestId};
+use crate::engine::{Engine, RequestId, StepResult};
 use crate::error::SimError;
 use crate::fault::LoadFaults;
 use crate::memory::MemoryModel;
@@ -72,29 +73,32 @@ pub struct LoadMetrics {
     pub total_tokens: u64,
 }
 
-/// Percentile `q ∈ [0, 1]` of a sample (nearest-rank on the sorted data);
-/// `NaN` when empty. Sorts in place.
+/// Percentile `q ∈ [0, 1]` of a sample (nearest-rank: the element at
+/// index `round((n − 1)·q)` in `total_cmp` order); `NaN` when empty.
+/// Reorders in place.
 pub fn percentile(values: &mut [f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "percentile out of range");
     if values.is_empty() {
         return f64::NAN;
     }
-    values.sort_by(|a, b| a.total_cmp(b));
     let idx = ((values.len() - 1) as f64 * q).round() as usize;
-    values[idx]
+    *values.select_nth_unstable_by(idx, f64::total_cmp).1
 }
 
-/// Median of a sample; `NaN` when empty.
+/// Median of a sample (mean of the two middle values for an even count);
+/// `NaN` when empty. Reorders in place.
 pub fn median(values: &mut [f64]) -> f64 {
     if values.is_empty() {
         return f64::NAN;
     }
-    values.sort_by(|a, b| a.total_cmp(b));
     let n = values.len();
+    let (below, &mut upper, _) = values.select_nth_unstable_by(n / 2, f64::total_cmp);
     if n % 2 == 1 {
-        values[n / 2]
+        upper
     } else {
-        0.5 * (values[n / 2 - 1] + values[n / 2])
+        // The lower middle value is the largest of the left partition.
+        let lower = below.iter().copied().max_by(f64::total_cmp).expect("n >= 2");
+        0.5 * (lower + upper)
     }
 }
 
@@ -129,6 +133,42 @@ struct InFlight {
     last_token_at: Option<f64>,
 }
 
+/// Hasher for the engine's sequential [`RequestId`]s: one multiply by the
+/// 64-bit golden ratio, which spreads consecutive ids over both the low
+/// (bucket) and high (tag) bits of the hash, in place of SipHash.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+type InFlightMap = HashMap<RequestId, InFlight, BuildHasherDefault<IdHasher>>;
+
+/// What one load test observes: the per-sample vectors the metrics reduce
+/// over and the window's totals.
+#[derive(Debug, Default)]
+struct Observed {
+    ttfts: Vec<f64>,
+    nttfts: Vec<f64>,
+    gaps: Vec<f64>,
+    e2es: Vec<f64>,
+    completed: u64,
+    total_tokens: u64,
+}
+
 /// Run one closed-loop load-testing experiment against a fresh engine.
 ///
 /// The engine's clock must start at 0; the experiment runs until the clock
@@ -148,9 +188,11 @@ pub fn run_load_test<S: RequestSource + ?Sized>(
 /// step budget, any of which aborts the experiment with the corresponding
 /// [`SimError`]. When `hists` is given, every normalized-TTFT and
 /// inter-token-latency sample (including censored TTFT lower bounds) is
-/// also recorded into the histograms. With [`LoadFaults::none`] and no
-/// `hists` the behaviour (and the produced metrics) are bit-identical to
-/// [`run_load_test`]; observation never changes the returned metrics.
+/// also recorded into the histograms, once, when the test ends; an
+/// aborted test records the samples it collected before the abort. With
+/// [`LoadFaults::none`] and no `hists` the behaviour (and the produced
+/// metrics) are bit-identical to [`run_load_test`]; observation never
+/// changes the returned metrics.
 pub fn run_load_test_with<S: RequestSource + ?Sized>(
     engine: &mut Engine,
     mem: &MemoryModel,
@@ -162,102 +204,16 @@ pub fn run_load_test_with<S: RequestSource + ?Sized>(
     let users = config.concurrent_users;
     assert!(users >= 1, "load test needs at least one user");
 
-    let mut in_flight: HashMap<RequestId, InFlight> = HashMap::new();
-    let mut ttfts: Vec<f64> = Vec::new();
-    let mut nttfts: Vec<f64> = Vec::new();
-    let mut gaps: Vec<f64> = Vec::new();
-    let mut e2es: Vec<f64> = Vec::new();
-    let mut completed: u64 = 0;
-    let mut total_tokens: u64 = 0;
-
-    // All users fire their first request at t = 0.
-    for user in 0..users {
-        let spec = fit_request(mem, engine.max_batch_weight(), source.next_request());
-        let id = engine.submit(spec)?;
-        in_flight.insert(
-            id,
-            InFlight {
-                user,
-                submitted_at: engine.clock(),
-                input_tokens: spec.input_tokens,
-                first_token_at: None,
-                last_token_at: None,
-            },
-        );
+    let mut obs = Observed::default();
+    let run = drive(engine, mem, source, config, faults, &mut obs);
+    if let Some(h) = hists {
+        h.nttft.record_secs_all(&obs.nttfts);
+        h.itl.record_secs_all(&obs.gaps);
     }
+    run?;
 
-    let warmup = config.warmup_s;
-    while engine.clock() < config.duration_s && engine.has_work() {
-        let step = engine.step();
-        faults.check_step(engine.clock(), engine.running_weight(), engine.max_batch_weight())?;
-        for em in &step.emissions {
-            if em.time >= warmup {
-                total_tokens += u64::from(em.count);
-            }
-            let fl = in_flight.get_mut(&em.id).expect("emission for known request");
-            if em.is_first {
-                if fl.submitted_at >= warmup {
-                    let ttft = em.time - fl.submitted_at;
-                    ttfts.push(ttft);
-                    nttfts.push(ttft / fl.input_tokens as f64);
-                    if let Some(h) = hists {
-                        h.nttft.record_secs(ttft / fl.input_tokens as f64);
-                    }
-                }
-                fl.first_token_at = Some(em.time);
-            } else if let Some(prev) = fl.last_token_at {
-                if em.time >= warmup {
-                    gaps.push(em.time - prev);
-                    if let Some(h) = hists {
-                        h.itl.record_secs(em.time - prev);
-                    }
-                }
-            }
-            fl.last_token_at = Some(em.time);
-        }
-        for c in &step.completions {
-            let fl = in_flight.remove(&c.id).expect("completion for known request");
-            if fl.submitted_at >= warmup {
-                e2es.push(c.time - fl.submitted_at);
-                completed += 1;
-            }
-            // Closed loop: the user immediately submits the next request.
-            if engine.clock() < config.duration_s {
-                let spec = fit_request(mem, engine.max_batch_weight(), source.next_request());
-                let id = engine.submit(spec)?;
-                in_flight.insert(
-                    id,
-                    InFlight {
-                        user: fl.user,
-                        submitted_at: engine.clock(),
-                        input_tokens: spec.input_tokens,
-                        first_token_at: None,
-                        last_token_at: None,
-                    },
-                );
-            }
-        }
-    }
-
-    // Censored observations: requests that never received their first token
-    // within the window still witnessed at least (now − submit) of queueing.
-    // Counting these lower bounds keeps the TTFT median defined (and large,
-    // as it should be) in deeply saturated regimes where no tracked request
-    // is served before the window closes.
-    for fl in in_flight.values() {
-        if fl.first_token_at.is_none() && fl.submitted_at >= warmup {
-            let waited = engine.clock() - fl.submitted_at;
-            if waited > 0.0 {
-                ttfts.push(waited);
-                nttfts.push(waited / fl.input_tokens as f64);
-                if let Some(h) = hists {
-                    h.nttft.record_secs(waited / fl.input_tokens as f64);
-                }
-            }
-        }
-    }
-
-    let elapsed = (engine.clock() - warmup).max(f64::EPSILON);
+    let elapsed = (engine.clock() - config.warmup_s).max(f64::EPSILON);
+    let Observed { mut ttfts, mut nttfts, mut gaps, mut e2es, completed, total_tokens } = obs;
     Ok(LoadMetrics {
         concurrent_users: users,
         ttft_median_s: median(&mut ttfts),
@@ -272,6 +228,94 @@ pub fn run_load_test_with<S: RequestSource + ?Sized>(
         completed_requests: completed,
         total_tokens,
     })
+}
+
+/// The closed loop of [`run_load_test_with`]: step the engine until the
+/// window closes, collecting every sample into `obs`. On an abort `obs`
+/// holds what was collected up to the failing step.
+fn drive<S: RequestSource + ?Sized>(
+    engine: &mut Engine,
+    mem: &MemoryModel,
+    source: &mut S,
+    config: &LoadTestConfig,
+    faults: &mut LoadFaults,
+    obs: &mut Observed,
+) -> Result<(), SimError> {
+    let mut in_flight = InFlightMap::default();
+    let mut submit = |engine: &mut Engine, in_flight: &mut InFlightMap, user: u32| {
+        let spec = fit_request(mem, engine.max_batch_weight(), source.next_request());
+        let id = engine.submit(spec)?;
+        in_flight.insert(
+            id,
+            InFlight {
+                user,
+                submitted_at: engine.clock(),
+                input_tokens: spec.input_tokens,
+                first_token_at: None,
+                last_token_at: None,
+            },
+        );
+        Ok::<(), SimError>(())
+    };
+
+    // All users fire their first request at t = 0.
+    for user in 0..config.concurrent_users {
+        submit(engine, &mut in_flight, user)?;
+    }
+
+    let warmup = config.warmup_s;
+    let mut step = StepResult::default();
+    while engine.clock() < config.duration_s && engine.has_work() {
+        engine.step_into(&mut step);
+        faults.check_step(engine.clock(), engine.running_weight(), engine.max_batch_weight())?;
+        for em in &step.emissions {
+            if em.time >= warmup {
+                obs.total_tokens += u64::from(em.count);
+            }
+            let fl = in_flight.get_mut(&em.id).expect("emission for known request");
+            if em.is_first {
+                if fl.submitted_at >= warmup {
+                    let ttft = em.time - fl.submitted_at;
+                    obs.ttfts.push(ttft);
+                    obs.nttfts.push(ttft / fl.input_tokens as f64);
+                }
+                fl.first_token_at = Some(em.time);
+            } else if let Some(prev) = fl.last_token_at {
+                if em.time >= warmup {
+                    obs.gaps.push(em.time - prev);
+                }
+            }
+            fl.last_token_at = Some(em.time);
+        }
+        for c in &step.completions {
+            let fl = in_flight.remove(&c.id).expect("completion for known request");
+            if fl.submitted_at >= warmup {
+                obs.e2es.push(c.time - fl.submitted_at);
+                obs.completed += 1;
+            }
+            // Closed loop: the user immediately submits the next request.
+            if engine.clock() < config.duration_s {
+                submit(engine, &mut in_flight, fl.user)?;
+            }
+        }
+    }
+
+    // Censored observations: requests that never received their first token
+    // within the window still witnessed at least (now − submit) of queueing.
+    // Counting these lower bounds keeps the TTFT median defined (and large,
+    // as it should be) in deeply saturated regimes where no tracked request
+    // is served before the window closes. The map's iteration order does
+    // not matter: only the multiset of samples reaches the metrics.
+    for fl in in_flight.values() {
+        if fl.first_token_at.is_none() && fl.submitted_at >= warmup {
+            let waited = engine.clock() - fl.submitted_at;
+            if waited > 0.0 {
+                obs.ttfts.push(waited);
+                obs.nttfts.push(waited / fl.input_tokens as f64);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The paper's default load-testing sweep: exponentially increasing numbers
@@ -508,6 +552,27 @@ mod tests {
     }
 
     #[test]
+    fn crashed_test_still_publishes_its_pre_crash_samples() {
+        let (mut e, mem) = setup(llama2_13b(), a100_80(), 1);
+        let mut src = FixedSource::constant(RequestSpec::new(500, 200));
+        let mut faults = crate::fault::LoadFaults::none();
+        faults.crash_at = Some(10.0);
+        let hists = SampleHists::default();
+        let err = run_load_test_with(
+            &mut e,
+            &mem,
+            &mut src,
+            &LoadTestConfig { warmup_s: 0.0, duration_s: 60.0, concurrent_users: 4 },
+            &mut faults,
+            Some(&hists),
+        )
+        .unwrap_err();
+        assert_eq!(err, SimError::EngineCrashed { at_s: 10.0 });
+        assert!(hists.itl.count() > 0, "ITL gaps before the crash are published");
+        assert!(hists.nttft.count() > 0, "first tokens before the crash are published");
+    }
+
+    #[test]
     fn step_budget_aborts_instead_of_hanging() {
         let (mut e, mem) = setup(llama2_13b(), a100_80(), 1);
         let mut src = FixedSource::constant(RequestSpec::new(500, 200));
@@ -555,6 +620,7 @@ mod tests {
 #[cfg(test)]
 mod percentile_tests {
     use super::*;
+    use crate::fault::LoadFaults;
     use crate::gpu::{a100_80, GpuProfile};
     use crate::llm::llama2_13b;
     use crate::memory::{MemoryConfig, MemoryModel};
@@ -576,6 +642,171 @@ mod percentile_tests {
     #[should_panic(expected = "percentile out of range")]
     fn percentile_rejects_bad_q() {
         let _ = percentile(&mut [1.0], 1.5);
+    }
+
+    /// The metrics of llama2-13b on 1xA100-80 under a two-spec source, as
+    /// `f64` bit patterns, with the sample histograms' counts, sums and
+    /// occupied slots. The expected values were printed by a build of the
+    /// commit before the driver switched from sorting to selection, from
+    /// per-sample to bulk histogram recording, to a reused step buffer and
+    /// to an id-keyed in-flight map; every field must still match exactly.
+    #[test]
+    fn metrics_are_bit_identical_to_the_sort_based_driver() {
+        // (users, metric bits in field order, completed requests, tokens,
+        // [nTTFT count, nTTFT sum, ITL count, ITL sum, nTTFT slots, ITL slots])
+        type Pinned = (u32, [u64; 9], u64, u64, [u64; 6]);
+        #[rustfmt::skip]
+        let expected: [Pinned; 3] = [
+            (1, [0x3fa3151c0527f400, 0x3f286cf0aa70947b, 0x3f948d9503e92800,
+                 0x404850eff7bd9b03, 0x4013bfd58b44cef4, 0x3fd29e3420b2af00,
+                 0x3fd29e3420b2af04, 0x3f94a71f4eccf800, 0x3f94acea3832c800],
+             12, 2918, [13, 2468086, 2905, 57994917329, 2, 4]),
+            (32, [0x4007f7ba9cf16620, 0x3f729aec46cfd475, 0x3faa03ba528b6800,
+                  0x40793a9d70e26a2a, 0x4021454bc65bea8f, 0x401500d7a157ad70,
+                  0x4027f21c756293ea, 0x3faae35ab1454000, 0x3fab4e41276dae00],
+             94, 24432, [126, 1315100879, 24306, 1469619498358, 23, 34]),
+            (128, [0x403df8e496f71c3d, 0x3fa44231b483baeb, 0x3faad12fbdfa4800,
+                   0x407b08012e989110, 0x403e141e6853a4f1, 0x4047e340dcc5c129,
+                   0x404e06817fa56097, 0x3fac27fae65f4900, 0x3facbc59a9438b00],
+             84, 25972, [212, 17570730715, 25860, 1473295736265, 25, 32]),
+        ];
+        for (users, bits, completed, tokens, hist) in expected {
+            let llm = llama2_13b();
+            let profile = GpuProfile::new(a100_80(), 1);
+            let mem = MemoryModel::new(llm.clone(), profile.clone(), MemoryConfig::default());
+            let weight = tune_max_batch_weight(&mem).unwrap().max_batch_weight;
+            let perf = PerfModel::new(llm, profile, PerfModelConfig::default());
+            let mut engine = Engine::new(perf, weight);
+            let mut src =
+                FixedSource::new(vec![RequestSpec::new(200, 80), RequestSpec::new(1500, 400)]);
+            let hists = SampleHists::default();
+            let m = run_load_test_with(
+                &mut engine,
+                &mem,
+                &mut src,
+                &LoadTestConfig { duration_s: 60.0, warmup_s: 0.0, concurrent_users: users },
+                &mut LoadFaults::none(),
+                Some(&hists),
+            )
+            .unwrap();
+            let got = [
+                m.ttft_median_s,
+                m.nttft_median_s,
+                m.itl_median_s,
+                m.throughput_tokens_per_s,
+                m.e2e_median_s,
+                m.ttft_p90_s,
+                m.ttft_p99_s,
+                m.itl_p90_s,
+                m.itl_p99_s,
+            ]
+            .map(f64::to_bits);
+            assert_eq!(got, bits, "users {users}: metric bits");
+            assert_eq!(m.concurrent_users, users);
+            assert_eq!((m.completed_requests, m.total_tokens), (completed, tokens), "{users}");
+            let got_hist = [
+                hists.nttft.count(),
+                hists.nttft.sum(),
+                hists.itl.count(),
+                hists.itl.sum(),
+                hists.nttft.nonzero_buckets().len() as u64,
+                hists.itl.nonzero_buckets().len() as u64,
+            ];
+            assert_eq!(got_hist, hist, "users {users}: sample histograms");
+        }
+    }
+
+    /// The sort-based median the selection version replaced.
+    fn sorted_median(values: &[f64]) -> f64 {
+        let mut v = values.to_vec();
+        if v.is_empty() {
+            return f64::NAN;
+        }
+        v.sort_by(f64::total_cmp);
+        let n = v.len();
+        if n % 2 == 1 {
+            v[n / 2]
+        } else {
+            0.5 * (v[n / 2 - 1] + v[n / 2])
+        }
+    }
+
+    /// The sort-based percentile the selection version replaced.
+    fn sorted_percentile(values: &[f64], q: f64) -> f64 {
+        let mut v = values.to_vec();
+        if v.is_empty() {
+            return f64::NAN;
+        }
+        v.sort_by(f64::total_cmp);
+        v[((v.len() - 1) as f64 * q).round() as usize]
+    }
+
+    const QS: [f64; 5] = [0.0, 0.5, 0.9, 0.99, 1.0];
+
+    /// Values that stress `total_cmp` order: signed zeros, both NaN signs,
+    /// infinities and repeats.
+    const SPECIALS: [f64; 8] =
+        [0.0, -0.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.0, -1.0];
+
+    /// Bit equality, except that two NaNs are equal: the NaN an addition
+    /// returns (the even-count median's mean) has no guaranteed sign or
+    /// payload, so only its NaN-ness is comparable.
+    fn same_median(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    fn assert_matches_sorting(values: &[f64]) {
+        let (got, want) = (median(&mut values.to_vec()), sorted_median(values));
+        assert!(same_median(got, want), "median of {values:?}: {got} vs {want}");
+        for q in QS {
+            assert_eq!(
+                percentile(&mut values.to_vec(), q).to_bits(),
+                sorted_percentile(values, q).to_bits(),
+                "percentile {q} of {values:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn selection_matches_sorting_on_short_and_special_samples() {
+        for &a in &SPECIALS {
+            assert_matches_sorting(&[a]);
+            for &b in &SPECIALS {
+                assert_matches_sorting(&[a, b]);
+                assert_matches_sorting(&[a, b, a]);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Selection returns exactly the element sorting would, on samples
+        /// full of duplicates and `total_cmp` edge cases, also when the
+        /// same buffer is reused for several quantiles as the driver does.
+        #[test]
+        fn selection_matches_sorting_on_arbitrary_samples(
+            picks in proptest::collection::vec((0u32..4, 0usize..8, -50i32..50), 1..80),
+        ) {
+            let values: Vec<f64> = picks
+                .iter()
+                .map(|&(kind, special, x)| match kind {
+                    0 => SPECIALS[special],
+                    // Coarse values: many exact duplicates.
+                    1 => f64::from(x / 8),
+                    _ => f64::from(x) * 0.37,
+                })
+                .collect();
+            assert_matches_sorting(&values);
+            let mut reused = values.clone();
+            proptest::prop_assert!(same_median(median(&mut reused), sorted_median(&values)));
+            for q in QS {
+                proptest::prop_assert_eq!(
+                    percentile(&mut reused, q).to_bits(),
+                    sorted_percentile(&values, q).to_bits()
+                );
+            }
+        }
     }
 
     #[test]
